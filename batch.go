@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"pfpl/internal/core"
-	"pfpl/internal/cpucomp"
-	"pfpl/internal/gpusim"
 )
 
 // Batched workloads: DAQ-style deployments compress thousands of small
@@ -17,150 +15,74 @@ import (
 // bit-identical across devices and a single field is readable (OpenBatch)
 // without touching its neighbors.
 
-// batchDevice is the optional Device extension: a device that can process a
-// whole batch through one dispatch. All built-in devices implement it; a
-// custom Device that does not falls back to a per-field loop assembled
-// through the same reference packing, producing identical bytes.
-type batchDevice interface {
-	compressBatch32(fields [][]float32, mode Mode, bound float64, rec *Tracer) ([]byte, error)
-	decompressBatch32(buf []byte, rec *Tracer) ([][]float32, error)
-	compressBatch64(fields [][]float64, mode Mode, bound float64, rec *Tracer) ([]byte, error)
-	decompressBatch64(buf []byte, rec *Tracer) ([][]float64, error)
-}
-
 // CompressBatch32 compresses many single-precision fields into one batch
 // container. All fields share the mode and bound in opts; on the built-in
 // devices every field's chunks flow through one dispatch instead of one per
 // field. With opts.Checksum a single CRC-32C trailer covers the whole
 // container.
 func CompressBatch32(fields [][]float32, opts Options) ([]byte, error) {
-	dev := opts.device()
-	var comp []byte
-	var err error
-	if bd, ok := dev.(batchDevice); ok {
-		comp, err = bd.compressBatch32(fields, opts.Mode, opts.Bound, opts.Trace)
-	} else {
-		comp, err = compressBatchGeneric32(dev, fields, opts)
-	}
-	if err != nil || !opts.Checksum {
-		return comp, err
-	}
-	return core.AppendBatchChecksum(comp)
+	return compressBatch(fields, opts, Device.Compress32)
 }
 
 // CompressBatch64 is the double-precision counterpart of CompressBatch32.
 func CompressBatch64(fields [][]float64, opts Options) ([]byte, error) {
-	dev := opts.device()
-	var comp []byte
-	var err error
-	if bd, ok := dev.(batchDevice); ok {
-		comp, err = bd.compressBatch64(fields, opts.Mode, opts.Bound, opts.Trace)
-	} else {
-		comp, err = compressBatchGeneric64(dev, fields, opts)
-	}
-	if err != nil || !opts.Checksum {
-		return comp, err
-	}
-	return core.AppendBatchChecksum(comp)
+	return compressBatch(fields, opts, Device.Compress64)
 }
 
 // DecompressBatch32 decodes every field of a single-precision batch
 // container. Checksummed containers are verified first. Mode and Bound in
 // opts are ignored; they come from the per-field index.
 func DecompressBatch32(buf []byte, opts Options) ([][]float32, error) {
-	buf, err := core.VerifyAndStripChecksum(buf)
-	if err != nil {
-		return nil, err
-	}
-	dev := opts.device()
-	if bd, ok := dev.(batchDevice); ok {
-		return bd.decompressBatch32(buf, opts.Trace)
-	}
-	return decompressBatchGeneric32(dev, buf)
+	return decompressBatch(buf, opts, Device.Decompress32)
 }
 
 // DecompressBatch64 is the double-precision counterpart of DecompressBatch32.
 func DecompressBatch64(buf []byte, opts Options) ([][]float64, error) {
+	return decompressBatch(buf, opts, Device.Decompress64)
+}
+
+// compressBatch runs a batch on the selected device. A custom Device
+// compresses each field alone, and the same core packing assembles the
+// container, so the bytes still match the built-in devices'.
+func compressBatch[T core.Float](fields [][]T, opts Options, viaDevice func(Device, []T, Mode, float64) ([]byte, error)) ([]byte, error) {
+	dev := opts.device()
+	var comp []byte
+	var err error
+	if ex, ok := executorFor[T](dev); ok {
+		comp, err = core.CompressBatch(ex, fields, opts.Mode, opts.Bound, opts.Trace)
+	} else {
+		comps := make([][]byte, len(fields))
+		for i, f := range fields {
+			if comps[i], err = viaDevice(dev, f, opts.Mode, opts.Bound); err != nil {
+				return nil, fmt.Errorf("batch field %d: %w", i, err)
+			}
+		}
+		comp, err = core.PackBatch(comps, core.IsPrec64[T]())
+	}
+	if err != nil || !opts.Checksum {
+		return comp, err
+	}
+	return core.AppendBatchChecksum(comp)
+}
+
+func decompressBatch[T core.Float](buf []byte, opts Options, viaDevice func(Device, []byte, []T) ([]T, error)) ([][]T, error) {
 	buf, err := core.VerifyAndStripChecksum(buf)
 	if err != nil {
 		return nil, err
 	}
 	dev := opts.device()
-	if bd, ok := dev.(batchDevice); ok {
-		return bd.decompressBatch64(buf, opts.Trace)
+	if ex, ok := executorFor[T](dev); ok {
+		return core.DecompressBatch(ex, buf, opts.Trace)
 	}
-	return decompressBatchGeneric64(dev, buf)
-}
-
-// compressBatchGeneric32 is the reference batch assembly for devices without
-// a one-dispatch batch path: each field compressed alone, packed by the same
-// core routine every specialized executor uses, so the bytes still match.
-func compressBatchGeneric32(dev Device, fields [][]float32, opts Options) ([]byte, error) {
-	comps := make([][]byte, len(fields))
-	for i, f := range fields {
-		c, err := Compress32(f, Options{Mode: opts.Mode, Bound: opts.Bound, Device: dev, Trace: opts.Trace})
-		if err != nil {
-			return nil, fmt.Errorf("batch field %d: %w", i, err)
-		}
-		comps[i] = c
-	}
-	return core.PackBatch(comps, false)
-}
-
-func compressBatchGeneric64(dev Device, fields [][]float64, opts Options) ([]byte, error) {
-	comps := make([][]byte, len(fields))
-	for i, f := range fields {
-		c, err := Compress64(f, Options{Mode: opts.Mode, Bound: opts.Bound, Device: dev, Trace: opts.Trace})
-		if err != nil {
-			return nil, fmt.Errorf("batch field %d: %w", i, err)
-		}
-		comps[i] = c
-	}
-	return core.PackBatch(comps, true)
-}
-
-func decompressBatchGeneric32(dev Device, buf []byte) ([][]float32, error) {
-	b, err := openBatchStripped(buf)
+	comps, err := core.BatchFields(buf, core.IsPrec64[T]())
 	if err != nil {
 		return nil, err
 	}
-	if b.Double() {
-		return nil, ErrCorrupt
-	}
-	out := make([][]float32, b.Count())
-	for i := range out {
-		fc, err := b.Field(i)
-		if err != nil {
-			return nil, err
-		}
-		v, err := dev.Decompress32(fc, nil)
-		if err != nil {
+	out := make([][]T, len(comps))
+	for i, fc := range comps {
+		if out[i], err = viaDevice(dev, fc, nil); err != nil {
 			return nil, fmt.Errorf("batch field %d: %w", i, err)
 		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func decompressBatchGeneric64(dev Device, buf []byte) ([][]float64, error) {
-	b, err := openBatchStripped(buf)
-	if err != nil {
-		return nil, err
-	}
-	if !b.Double() {
-		return nil, ErrCorrupt
-	}
-	out := make([][]float64, b.Count())
-	for i := range out {
-		fc, err := b.Field(i)
-		if err != nil {
-			return nil, err
-		}
-		v, err := dev.Decompress64(fc, nil)
-		if err != nil {
-			return nil, fmt.Errorf("batch field %d: %w", i, err)
-		}
-		out[i] = v
 	}
 	return out, nil
 }
@@ -174,9 +96,7 @@ func IsBatch(buf []byte) bool { return core.IsBatch(buf) }
 // decoded without touching its neighbors. The Batch keeps a reference to the
 // container bytes; it performs no decoding until a field is requested.
 type Batch struct {
-	prec64  bool
-	entries []core.BatchEntry
-	payload []byte
+	idx core.BatchIndex
 }
 
 // OpenBatch parses and validates a batch container's header and index table
@@ -187,72 +107,48 @@ func OpenBatch(buf []byte) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return openBatchStripped(buf)
-}
-
-func openBatchStripped(buf []byte) (*Batch, error) {
-	bh, err := core.ParseBatchHeader(buf)
+	idx, err := core.ParseBatch(buf)
 	if err != nil {
 		return nil, err
 	}
-	entries, payload, err := core.BatchIndexTable(buf, &bh)
-	if err != nil {
-		return nil, err
-	}
-	return &Batch{prec64: bh.Prec64, entries: entries, payload: payload}, nil
+	return &Batch{idx: idx}, nil
 }
 
 // Count returns the number of fields in the batch.
-func (b *Batch) Count() int { return len(b.entries) }
+func (b *Batch) Count() int { return len(b.idx.Entries) }
 
 // Double reports whether the batch holds double-precision fields.
-func (b *Batch) Double() bool { return b.prec64 }
+func (b *Batch) Double() bool { return b.idx.Prec64 }
 
 // Info describes field i from the batch index without decoding it.
 func (b *Batch) Info(i int) Info {
-	e := &b.entries[i]
+	e := &b.idx.Entries[i]
 	//pfpl:ignore intwidth Values passed the MaxElems choke point in BatchIndexTable
 	count := int(e.Values)
+	w := core.ChunkWords32
+	if b.idx.Prec64 {
+		w = core.ChunkWords64
+	}
 	return Info{
 		Mode:   e.Mode,
 		Bound:  e.Bound,
-		Double: b.prec64,
+		Double: b.idx.Prec64,
 		Raw:    e.Raw,
 		Count:  count,
-		Chunks: numFieldChunks(b.prec64, e.Values),
+		Chunks: core.NumChunksFor(count, w),
 	}
-}
-
-// numFieldChunks derives the chunk count the index entry implies.
-func numFieldChunks(prec64 bool, values uint64) int {
-	w := core.ChunkWords32
-	if prec64 {
-		w = core.ChunkWords64
-	}
-	//pfpl:ignore intwidth values passed the MaxElems choke point in BatchIndexTable
-	return core.NumChunksFor(int(values), w)
 }
 
 // Field returns field i's standalone container, cross-checking the field's
 // own header against the index entry so neither copy of the metadata is
 // trusted alone. The returned slice aliases the batch buffer; it decodes
 // with Decompress32/64 or any Device.
-func (b *Batch) Field(i int) ([]byte, error) {
-	fc := core.FieldContainer(b.entries, b.payload, i)
-	h, err := core.ParseHeader(fc)
-	if err != nil {
-		return nil, fmt.Errorf("batch field %d: %w", i, err)
-	}
-	if err := core.CheckFieldHeader(&b.entries[i], &h, b.prec64); err != nil {
-		return nil, fmt.Errorf("batch field %d: %w", i, err)
-	}
-	return fc, nil
-}
+func (b *Batch) Field(i int) ([]byte, error) { return b.idx.Field(i) }
 
 // Field32 decodes single-precision field i into dst (grown as needed)
 // without decoding any other field.
 func (b *Batch) Field32(i int, dst []float32, opts Options) ([]float32, error) {
-	if b.prec64 {
+	if b.idx.Prec64 {
 		return nil, ErrCorrupt
 	}
 	fc, err := b.Field(i)
@@ -265,7 +161,7 @@ func (b *Batch) Field32(i int, dst []float32, opts Options) ([]float32, error) {
 // Field64 decodes double-precision field i into dst (grown as needed)
 // without decoding any other field.
 func (b *Batch) Field64(i int, dst []float64, opts Options) ([]float64, error) {
-	if !b.prec64 {
+	if !b.idx.Prec64 {
 		return nil, ErrCorrupt
 	}
 	fc, err := b.Field(i)
@@ -273,124 +169,4 @@ func (b *Batch) Field64(i int, dst []float64, opts Options) ([]float64, error) {
 		return nil, err
 	}
 	return Decompress64(fc, dst, opts)
-}
-
-// The built-in devices' one-dispatch batch paths.
-
-func (serialDevice) compressBatch32(fields [][]float32, mode Mode, bound float64, rec *Tracer) ([]byte, error) {
-	comps := make([][]byte, len(fields))
-	for i, f := range fields {
-		c, err := core.CompressSerial32Traced(f, mode, bound, rec)
-		if err != nil {
-			return nil, fmt.Errorf("batch field %d: %w", i, err)
-		}
-		comps[i] = c
-	}
-	return core.PackBatch(comps, false)
-}
-
-func (serialDevice) decompressBatch32(buf []byte, rec *Tracer) ([][]float32, error) {
-	b, err := openBatchStripped(buf)
-	if err != nil {
-		return nil, err
-	}
-	if b.Double() {
-		return nil, ErrCorrupt
-	}
-	out := make([][]float32, b.Count())
-	for i := range out {
-		fc, err := b.Field(i)
-		if err != nil {
-			return nil, err
-		}
-		v, err := core.DecompressSerial32Traced(fc, nil, rec)
-		if err != nil {
-			return nil, fmt.Errorf("batch field %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func (serialDevice) compressBatch64(fields [][]float64, mode Mode, bound float64, rec *Tracer) ([]byte, error) {
-	comps := make([][]byte, len(fields))
-	for i, f := range fields {
-		c, err := core.CompressSerial64Traced(f, mode, bound, rec)
-		if err != nil {
-			return nil, fmt.Errorf("batch field %d: %w", i, err)
-		}
-		comps[i] = c
-	}
-	return core.PackBatch(comps, true)
-}
-
-func (serialDevice) decompressBatch64(buf []byte, rec *Tracer) ([][]float64, error) {
-	b, err := openBatchStripped(buf)
-	if err != nil {
-		return nil, err
-	}
-	if !b.Double() {
-		return nil, ErrCorrupt
-	}
-	out := make([][]float64, b.Count())
-	for i := range out {
-		fc, err := b.Field(i)
-		if err != nil {
-			return nil, err
-		}
-		v, err := core.DecompressSerial64Traced(fc, nil, rec)
-		if err != nil {
-			return nil, fmt.Errorf("batch field %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func (d cpuDevice) compressBatch32(fields [][]float32, mode Mode, bound float64, rec *Tracer) ([]byte, error) {
-	return cpucomp.CompressBatch32Traced(fields, mode, bound, d.workers, rec)
-}
-
-func (d cpuDevice) decompressBatch32(buf []byte, rec *Tracer) ([][]float32, error) {
-	return cpucomp.DecompressBatch32Traced(buf, d.workers, rec)
-}
-
-func (d cpuDevice) compressBatch64(fields [][]float64, mode Mode, bound float64, rec *Tracer) ([]byte, error) {
-	return cpucomp.CompressBatch64Traced(fields, mode, bound, d.workers, rec)
-}
-
-func (d cpuDevice) decompressBatch64(buf []byte, rec *Tracer) ([][]float64, error) {
-	return cpucomp.DecompressBatch64Traced(buf, d.workers, rec)
-}
-
-func (d *CPUPool) compressBatch32(fields [][]float32, mode Mode, bound float64, rec *Tracer) ([]byte, error) {
-	return d.pool.CompressBatch32Traced(fields, mode, bound, rec)
-}
-
-func (d *CPUPool) decompressBatch32(buf []byte, rec *Tracer) ([][]float32, error) {
-	return d.pool.DecompressBatch32Traced(buf, rec)
-}
-
-func (d *CPUPool) compressBatch64(fields [][]float64, mode Mode, bound float64, rec *Tracer) ([]byte, error) {
-	return d.pool.CompressBatch64Traced(fields, mode, bound, rec)
-}
-
-func (d *CPUPool) decompressBatch64(buf []byte, rec *Tracer) ([][]float64, error) {
-	return d.pool.DecompressBatch64Traced(buf, rec)
-}
-
-func (d gpuDevice) compressBatch32(fields [][]float32, mode Mode, bound float64, rec *Tracer) ([]byte, error) {
-	return gpusim.CompressBatch32Traced(d.model, fields, mode, bound, rec)
-}
-
-func (d gpuDevice) decompressBatch32(buf []byte, rec *Tracer) ([][]float32, error) {
-	return gpusim.DecompressBatch32Traced(d.model, buf, rec)
-}
-
-func (d gpuDevice) compressBatch64(fields [][]float64, mode Mode, bound float64, rec *Tracer) ([]byte, error) {
-	return gpusim.CompressBatch64Traced(d.model, fields, mode, bound, rec)
-}
-
-func (d gpuDevice) decompressBatch64(buf []byte, rec *Tracer) ([][]float64, error) {
-	return gpusim.DecompressBatch64Traced(d.model, buf, rec)
 }

@@ -18,31 +18,17 @@ var (
 	TitanXp      = gpusim.TitanXp
 )
 
-// gpuDevice executes the CUDA formulation of PFPL on the deterministic GPU
-// simulator. Output bytes are identical to the CPU devices'; only the
-// modelled throughput differs between GPU models.
-type gpuDevice struct{ model GPUModel }
-
-func (d gpuDevice) Name() string { return "PFPL-CUDA(" + d.model.Name + ")" }
-
-func (d gpuDevice) Compress32(src []float32, mode Mode, bound float64) ([]byte, error) {
-	return gpusim.Compress32(d.model, src, mode, bound)
+// GPU returns the simulated GPU device for the given model: it executes
+// the CUDA formulation of PFPL on the deterministic GPU simulator. Output
+// bytes are identical to the CPU devices'; only the modelled throughput
+// differs between GPU models.
+func GPU(model GPUModel) Device {
+	return &builtin{
+		name: "PFPL-CUDA(" + model.Name + ")",
+		ex32: gpusim.Exec32{Model: model},
+		ex64: gpusim.Exec64{Model: model},
+	}
 }
-
-func (d gpuDevice) Decompress32(buf []byte, dst []float32) ([]float32, error) {
-	return gpusim.Decompress32(d.model, buf, dst)
-}
-
-func (d gpuDevice) Compress64(src []float64, mode Mode, bound float64) ([]byte, error) {
-	return gpusim.Compress64(d.model, src, mode, bound)
-}
-
-func (d gpuDevice) Decompress64(buf []byte, dst []float64) ([]float64, error) {
-	return gpusim.Decompress64(d.model, buf, dst)
-}
-
-// GPU returns the simulated GPU device for the given model.
-func GPU(model GPUModel) Device { return gpuDevice{model: model} }
 
 // VerifyBound audits a reconstruction against the original data, returning
 // the number of error-bound violations — the check the paper applies to all

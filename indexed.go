@@ -152,32 +152,21 @@ func (x *Indexed) Frame(i int) ([]byte, error) {
 // single-precision indexed stream, seeking directly to the covering frames
 // and decoding only the covering chunks of each.
 func (x *Indexed) Range32(offset, count int64) ([]float32, error) {
-	if err := x.checkRange(offset, count, false); err != nil || count == 0 {
-		return nil, err
-	}
-	out := make([]float32, count)
-	err := x.eachCoveringFrame(offset, count, func(f int, frameOff, frameCnt, outPos int64) error {
-		vals, err := decodeFrameWindow(x, f, frameOff, frameCnt, decode32)
-		if err != nil {
-			return err
-		}
-		copy(out[outPos:], vals)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return indexedRange[float32](x, offset, count)
 }
 
 // Range64 is the double-precision counterpart of Range32.
 func (x *Indexed) Range64(offset, count int64) ([]float64, error) {
-	if err := x.checkRange(offset, count, true); err != nil || count == 0 {
+	return indexedRange[float64](x, offset, count)
+}
+
+func indexedRange[T core.Float](x *Indexed, offset, count int64) ([]T, error) {
+	if err := x.checkRange(offset, count, core.IsPrec64[T]()); err != nil || count == 0 {
 		return nil, err
 	}
-	out := make([]float64, count)
+	out := make([]T, count)
 	err := x.eachCoveringFrame(offset, count, func(f int, frameOff, frameCnt, outPos int64) error {
-		vals, err := decodeFrameWindow(x, f, frameOff, frameCnt, decode64)
+		vals, err := decodeFrameWindow[T](x, f, frameOff, frameCnt)
 		if err != nil {
 			return err
 		}
@@ -257,33 +246,20 @@ func (x *Indexed) frameHeader(i int) (core.Header, []byte, int64, int, error) {
 	return h, buf[core.ContainerHeaderSize:], rec.Offset + framePrefix + hl, payloadLen, nil
 }
 
-// decode32/decode64 adapt DecodeChunk32/64 to the shared window decoder.
-type chunkDecoder[T any] func(p *core.Params, payload []byte, raw bool, dst []T, sAny any) error
-
-func decode32(p *core.Params, payload []byte, raw bool, dst []float32, sAny any) error {
-	return core.DecodeChunk32(p, payload, raw, dst, sAny.(*core.Scratch32))
-}
-
-func decode64(p *core.Params, payload []byte, raw bool, dst []float64, sAny any) error {
-	return core.DecodeChunk64(p, payload, raw, dst, sAny.(*core.Scratch64))
-}
-
 // decodeFrameWindow decodes cnt values starting at in-frame offset off from
 // frame f, reading only the frame's header+table and the covering payload
 // span, and decoding only the covering chunks.
-func decodeFrameWindow[T any](x *Indexed, f int, off, cnt int64, dec chunkDecoder[T]) ([]T, error) {
+func decodeFrameWindow[T core.Float](x *Indexed, f int, off, cnt int64) ([]T, error) {
 	h, table, payloadOff, payloadLen, err := x.frameHeader(f)
 	if err != nil {
 		return nil, err
 	}
-	var elemsPerChunk int
-	var scratch any
+	if h.Prec64 != core.IsPrec64[T]() {
+		return nil, fmt.Errorf("%w: frame %d precision disagrees with the stream", ErrCorrupt, f)
+	}
+	elemsPerChunk := core.ChunkWords32
 	if h.Prec64 {
 		elemsPerChunk = core.ChunkWords64
-		scratch = &core.Scratch64{}
-	} else {
-		elemsPerChunk = core.ChunkWords32
-		scratch = &core.Scratch32{}
 	}
 	n := int64(h.Len())
 	if off < 0 || cnt <= 0 || off+cnt > n {
@@ -309,6 +285,7 @@ func decodeFrameWindow[T any](x *Indexed, f int, off, cnt int64, dec chunkDecode
 		return nil, err
 	}
 	out := make([]T, cnt)
+	k := core.NewKernels[T](nil, 0)
 	tmp := make([]T, elemsPerChunk)
 	for c := firstChunk; c <= lastChunk; c++ {
 		lo := int64(c) * int64(elemsPerChunk)
@@ -316,7 +293,7 @@ func decodeFrameWindow[T any](x *Indexed, f int, off, cnt int64, dec chunkDecode
 		dst := tmp[:hi-lo]
 		i := c - firstChunk
 		pl := span[offsets[i]-spanOff : offsets[i]-spanOff+lengths[i]]
-		if err := dec(&p, pl, raws[i], dst, scratch); err != nil {
+		if err := k.Decode(&p, pl, raws[i], dst, 0); err != nil {
 			return nil, fmt.Errorf("pfpl: frame %d: %w", f, err)
 		}
 		from := max(lo, off)

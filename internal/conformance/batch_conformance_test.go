@@ -118,22 +118,13 @@ func BatchCorpus() []BatchCase {
 	return out
 }
 
-// batchExecutors returns the sweep executors plus a persistent CPU pool (the
-// pool shares workers across dispatches, so its scheduling differs from the
-// spawning CPU executor — the bytes must not).
-func batchExecutors(t *testing.T) []Executor {
-	t.Helper()
-	pool := pfpl.NewCPUPool(0)
-	t.Cleanup(pool.Close)
-	return append(Executors(), Executor{Name: "cpu-pool", Dev: pool, Short: true})
-}
-
 // TestBatchExecutorIdentity sweeps every batch case × config × executor in
 // both precisions: each executor's batch container must be byte-identical to
 // the serial reference, and each executor must decode the reference container
 // to bitwise-identical field values.
 func TestBatchExecutorIdentity(t *testing.T) {
-	execs := batchExecutors(t)
+	forceParallel(t)
+	execs := Executors()
 	for _, bc := range BatchCorpus() {
 		if testing.Short() && bc.Heavy {
 			continue

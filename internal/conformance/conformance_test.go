@@ -3,10 +3,19 @@ package conformance
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"pfpl"
 )
+
+// forceParallel runs the test at GOMAXPROCS 8 whatever the host's core
+// count, so every executor's concurrent path really runs concurrently (the
+// simulated GPU grid runs its blocks serially at GOMAXPROCS 1).
+func forceParallel(t *testing.T) {
+	prev := runtime.GOMAXPROCS(8)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // TestDifferentialSweep is the core cross-executor conformance check: every
 // corpus entry × mode × precision is compressed by every executor and the
@@ -16,6 +25,7 @@ import (
 // in float64 by this package's own independent checker (not the library's
 // VerifyBound, so a shared bug cannot hide).
 func TestDifferentialSweep(t *testing.T) {
+	forceParallel(t)
 	execs := Executors()
 	for _, e := range Corpus() {
 		if testing.Short() && e.Heavy {
@@ -114,6 +124,7 @@ func sweep64(t *testing.T, execs []Executor, e Entry, cfg Config) {
 // TestChecksumTrailerIdentical verifies the CRC-32C trailer path through the
 // public Options API is device-independent too.
 func TestChecksumTrailerIdentical(t *testing.T) {
+	forceParallel(t)
 	e := findEntry(t, "specials")
 	for _, cfg := range Configs() {
 		opts := pfpl.Options{Mode: cfg.Mode, Bound: cfg.Bound, Checksum: true}

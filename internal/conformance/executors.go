@@ -3,6 +3,7 @@ package conformance
 import (
 	"runtime"
 	"strconv"
+	"sync"
 
 	"pfpl"
 )
@@ -19,10 +20,17 @@ type Executor struct {
 	Short bool
 }
 
+// pool2 is the sweep's persistent two-worker CPU pool. It is shared by
+// every sweep in the process and never closed: its workers borrow from one
+// dispatcher across calls, which is the scheduling the serving daemon and
+// long-running batch jobs use.
+var pool2 = sync.OnceValue(func() *pfpl.CPUPool { return pfpl.NewCPUPool(2) })
+
 // Executors returns the sweep set: the serial reference, the parallel CPU
-// executor at worker counts 1, 2, 7, and GOMAXPROCS, and the simulated GPU
-// under two device models with different SM counts and block limits
-// (RTX 4090 vs A100), exercising different grid shapes in the kernels.
+// executor at worker counts 1, 2, 7, and GOMAXPROCS, a persistent two-worker
+// CPU pool, and the simulated GPU under two device models with different SM
+// counts and block limits (RTX 4090 vs A100), exercising different grid
+// shapes in the kernels.
 func Executors() []Executor {
 	return []Executor{
 		{Name: "serial", Dev: pfpl.Serial(), Reference: true, Short: true},
@@ -30,6 +38,7 @@ func Executors() []Executor {
 		{Name: "cpu-w2", Dev: pfpl.CPU(2), Short: true},
 		{Name: "cpu-w7", Dev: pfpl.CPU(7)},
 		{Name: "cpu-w" + strconv.Itoa(runtime.GOMAXPROCS(0)), Dev: pfpl.CPU(0)},
+		{Name: "cpu-pool2", Dev: pool2(), Short: true},
 		{Name: "gpu-rtx4090", Dev: pfpl.GPU(pfpl.RTX4090), Short: true},
 		{Name: "gpu-a100", Dev: pfpl.GPU(pfpl.A100)},
 	}

@@ -160,6 +160,7 @@ func TestStreamGoldenVectors(t *testing.T) {
 // count, and the read-ahead reader must reproduce the serial per-frame
 // decode bit for bit.
 func TestStreamPipelinedMatchesSerial(t *testing.T) {
+	forceParallel(t)
 	for _, e := range Corpus() {
 		if testing.Short() && e.Heavy {
 			continue

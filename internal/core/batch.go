@@ -229,6 +229,64 @@ func CheckFieldHeader(e *BatchEntry, h *Header, prec64 bool) error {
 	return nil
 }
 
+// BatchIndex is a batch container's validated header and index table.
+type BatchIndex struct {
+	Prec64  bool
+	Entries []BatchEntry
+	Payload []byte // concatenated field containers
+}
+
+// ParseBatch validates a batch container's header and index table (the
+// checksum trailer, if any, already stripped). It is the one place a batch
+// index is validated; fields are checked one at a time by Field, so random
+// access never touches a neighbor.
+func ParseBatch(buf []byte) (BatchIndex, error) {
+	bh, err := ParseBatchHeader(buf)
+	if err != nil {
+		return BatchIndex{}, err
+	}
+	entries, payload, err := BatchIndexTable(buf, &bh)
+	if err != nil {
+		return BatchIndex{}, err
+	}
+	return BatchIndex{Prec64: bh.Prec64, Entries: entries, Payload: payload}, nil
+}
+
+// Field returns field i's standalone container after cross-checking the
+// field's own header against its index entry, so neither copy of the
+// metadata is trusted alone.
+func (b *BatchIndex) Field(i int) ([]byte, error) {
+	fc := FieldContainer(b.Entries, b.Payload, i)
+	h, err := ParseHeader(fc)
+	if err != nil {
+		return nil, fmt.Errorf("batch field %d: %w", i, err)
+	}
+	if err := CheckFieldHeader(&b.Entries[i], &h, b.Prec64); err != nil {
+		return nil, fmt.Errorf("batch field %d: %w", i, err)
+	}
+	return fc, nil
+}
+
+// BatchFields turns a batch container of the given precision into its
+// validated field containers, each a standalone stream every single-field
+// decoder accepts.
+func BatchFields(buf []byte, prec64 bool) ([][]byte, error) {
+	b, err := ParseBatch(buf)
+	if err != nil {
+		return nil, err
+	}
+	if b.Prec64 != prec64 {
+		return nil, ErrCorrupt
+	}
+	comps := make([][]byte, len(b.Entries))
+	for i := range comps {
+		if comps[i], err = b.Field(i); err != nil {
+			return nil, err
+		}
+	}
+	return comps, nil
+}
+
 // EntryForHeader builds the index entry describing a field container with
 // header h occupying length bytes at offset. Every batch writer derives
 // entries through this one function so the duplicated metadata can never

@@ -54,11 +54,21 @@ func ChunkTableBytes(buf []byte, h *Header) (table, payload []byte) {
 // DecompressRange32 decodes count values starting at element offset from a
 // single-precision stream, touching only the covering chunks.
 func DecompressRange32(buf []byte, offset, count int) ([]float32, error) {
+	return decompressRange[float32](buf, offset, count)
+}
+
+// DecompressRange64 is the double-precision counterpart of
+// DecompressRange32.
+func DecompressRange64(buf []byte, offset, count int) ([]float64, error) {
+	return decompressRange[float64](buf, offset, count)
+}
+
+func decompressRange[T Float](buf []byte, offset, count int) ([]T, error) {
 	h, err := ParseHeader(buf)
 	if err != nil {
 		return nil, err
 	}
-	if h.Prec64 {
+	if h.Prec64 != IsPrec64[T]() {
 		return nil, ErrCorrupt
 	}
 	n := h.Len()
@@ -75,8 +85,9 @@ func DecompressRange32(buf []byte, offset, count int) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	firstChunk := offset / ChunkWords32
-	lastChunk := (offset + count - 1) / ChunkWords32
+	words := chunkWordsOf[T]()
+	firstChunk := offset / words
+	lastChunk := (offset + count - 1) / words
 	// The windowed table stops prefix-summing at lastChunk: a two-chunk
 	// window into a million-chunk stream validates and sums only the table
 	// prefix it needs, never the chunks behind it.
@@ -89,70 +100,18 @@ func DecompressRange32(buf []byte, offset, count int) ([]float32, error) {
 	if offsets[w]+lengths[w] > len(payload) {
 		return nil, ErrCorrupt
 	}
-	out := make([]float32, count)
-	var s Scratch32
-	tmp := make([]float32, ChunkWords32)
+	out := make([]T, count)
+	k := NewKernels[T](nil, 0)
+	tmp := make([]T, words)
 	for c := firstChunk; c <= lastChunk; c++ {
-		lo := c * ChunkWords32
-		hi := min(lo+ChunkWords32, n)
+		lo := c * words
+		hi := min(lo+words, n)
 		dst := tmp[:hi-lo]
-		pl := payload[offsets[c-firstChunk] : offsets[c-firstChunk]+lengths[c-firstChunk]]
-		if err := DecodeChunk32(&p, pl, raws[c-firstChunk], dst, &s); err != nil {
+		i := c - firstChunk
+		if err := k.Decode(&p, payload[offsets[i]:offsets[i]+lengths[i]], raws[i], dst, 0); err != nil {
 			return nil, err
 		}
 		// Copy the overlap of [lo, hi) with [offset, offset+count).
-		from := max(lo, offset)
-		to := min(hi, offset+count)
-		copy(out[from-offset:to-offset], dst[from-lo:to-lo])
-	}
-	return out, nil
-}
-
-// DecompressRange64 is the double-precision counterpart of
-// DecompressRange32.
-func DecompressRange64(buf []byte, offset, count int) ([]float64, error) {
-	h, err := ParseHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	if !h.Prec64 {
-		return nil, ErrCorrupt
-	}
-	n := h.Len()
-	// See DecompressRange32: guard against offset+count overflow.
-	if offset < 0 || count < 0 || offset > n || count > n-offset {
-		return nil, ErrCorrupt
-	}
-	if count == 0 {
-		return nil, nil
-	}
-	p, err := ParamsForHeader(&h)
-	if err != nil {
-		return nil, err
-	}
-	firstChunk := offset / ChunkWords64
-	lastChunk := (offset + count - 1) / ChunkWords64
-	// See DecompressRange32: table work stops at the covering window.
-	table, payload := ChunkTableBytes(buf, &h)
-	offsets, lengths, raws, err := ChunkWindow(table, firstChunk, lastChunk)
-	if err != nil {
-		return nil, err
-	}
-	w := lastChunk - firstChunk
-	if offsets[w]+lengths[w] > len(payload) {
-		return nil, ErrCorrupt
-	}
-	out := make([]float64, count)
-	var s Scratch64
-	tmp := make([]float64, ChunkWords64)
-	for c := firstChunk; c <= lastChunk; c++ {
-		lo := c * ChunkWords64
-		hi := min(lo+ChunkWords64, n)
-		dst := tmp[:hi-lo]
-		pl := payload[offsets[c-firstChunk] : offsets[c-firstChunk]+lengths[c-firstChunk]]
-		if err := DecodeChunk64(&p, pl, raws[c-firstChunk], dst, &s); err != nil {
-			return nil, err
-		}
 		from := max(lo, offset)
 		to := min(hi, offset+count)
 		copy(out[from-offset:to-offset], dst[from-lo:to-lo])

@@ -2,192 +2,79 @@ package core
 
 import "pfpl/internal/obs"
 
-// Serial whole-buffer compression and decompression: the reference
-// implementation against which the parallel CPU executor and the simulated
-// GPU executor must be bit-for-bit identical.
+// Serial is the single-goroutine executor: the reference implementation
+// against which the parallel CPU executor and the simulated GPU executor
+// must be bit-for-bit identical.
+type Serial[T Float] struct{}
+
+// Encode emits every planned field chunk by chunk on the calling goroutine.
+func (Serial[T]) Encode(plans []EncodePlan[T], rec *obs.Recorder) [][]byte {
+	track := rec.Track("serial")
+	k := NewKernels[T](rec, track)
+	comps := make([][]byte, len(plans))
+	for f := range plans {
+		pl := &plans[f]
+		out := pl.Head
+		for c := 0; c < pl.Header.NumChunks; c++ {
+			//pfpl:ignore intwidth c is a chunk index below NumChunks < 2^32 (uint32 table)
+			unit := int32(c)
+			payload, raw := k.Encode(&pl.Params, pl.Chunk(c), unit)
+			t := rec.Now()
+			PutChunkSize(out, c, len(payload), raw)
+			out = append(out, payload...)
+			rec.StageSpan(obs.StageEmit, track, unit, t)
+		}
+		comps[f] = out
+	}
+	return comps
+}
+
+// Decode decodes every planned field chunk by chunk on the calling
+// goroutine, stopping at the first corrupt chunk.
+func (Serial[T]) Decode(plans []DecodePlan[T], rec *obs.Recorder) error {
+	k := NewKernels[T](rec, rec.Track("serial"))
+	for f := range plans {
+		pl := &plans[f]
+		for c := 0; c < pl.Header.NumChunks; c++ {
+			payload, raw := pl.ChunkPayload(c)
+			//pfpl:ignore intwidth c is a chunk index below NumChunks < 2^32 (uint32 table)
+			if err := k.Decode(&pl.Params, payload, raw, pl.ChunkDst(c), int32(c)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
 // CompressSerial32 compresses src with the given mode and error bound.
 func CompressSerial32(src []float32, mode Mode, bound float64) ([]byte, error) {
-	return CompressSerial32Traced(src, mode, bound, nil)
+	return Compress(Serial[float32]{}, src, mode, bound, nil)
 }
 
 // CompressSerial32Traced is CompressSerial32 with per-chunk stage spans
 // recorded on rec (nil disables tracing at no cost).
 func CompressSerial32Traced(src []float32, mode Mode, bound float64, rec *obs.Recorder) ([]byte, error) {
-	var rng float64
-	if mode == NOA {
-		rng = Range32(src)
-	}
-	p, err := NewParams(mode, bound, rng, false)
-	if err != nil {
-		return nil, err
-	}
-	h := Header{
-		Mode:      mode,
-		Raw:       p.Raw,
-		Bound:     bound,
-		NOARange:  rng,
-		Count:     uint64(len(src)),
-		NumChunks: numChunksFor(len(src), ChunkWords32),
-	}
-	out := AppendHeader(nil, &h)
-	var s Scratch32
-	s.Rec = rec
-	s.Track = rec.Track("serial")
-	for c := 0; c < h.NumChunks; c++ {
-		lo := c * ChunkWords32
-		hi := lo + ChunkWords32
-		if hi > len(src) {
-			hi = len(src)
-		}
-		s.Unit = int32(c)
-		payload, raw := EncodeChunk32(&p, src[lo:hi], &s)
-		t := rec.Now()
-		PutChunkSize(out, c, len(payload), raw)
-		out = append(out, payload...)
-		rec.StageSpan(obs.StageEmit, s.Track, s.Unit, t)
-	}
-	return out, nil
+	return Compress(Serial[float32]{}, src, mode, bound, rec)
 }
 
 // DecompressSerial32 decodes a stream produced by any of the float32
 // compressors. dst is reused when it has sufficient capacity.
 func DecompressSerial32(buf []byte, dst []float32) ([]float32, error) {
-	return DecompressSerial32Traced(buf, dst, nil)
-}
-
-// DecompressSerial32Traced is DecompressSerial32 with per-chunk decode
-// spans recorded on rec (nil disables tracing at no cost).
-func DecompressSerial32Traced(buf []byte, dst []float32, rec *obs.Recorder) ([]float32, error) {
-	h, err := ParseHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	if h.Prec64 {
-		return nil, ErrCorrupt
-	}
-	p, err := ParamsForHeader(&h)
-	if err != nil {
-		return nil, err
-	}
-	// Validate the chunk table — which ties every declared size to bytes
-	// actually present in buf — before sizing dst from the untrusted count.
-	offsets, lengths, raws, payload, err := ChunkTable(buf, &h)
-	if err != nil {
-		return nil, err
-	}
-	n := h.Len()
-	if cap(dst) < n {
-		dst = make([]float32, n)
-	}
-	dst = dst[:n]
-	var s Scratch32
-	s.Rec = rec
-	s.Track = rec.Track("serial")
-	for c := 0; c < h.NumChunks; c++ {
-		lo := c * ChunkWords32
-		hi := lo + ChunkWords32
-		if hi > n {
-			hi = n
-		}
-		pl := payload[offsets[c] : offsets[c]+lengths[c]]
-		s.Unit = int32(c)
-		if err := DecodeChunk32(&p, pl, raws[c], dst[lo:hi], &s); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
+	return Decompress(Serial[float32]{}, buf, dst, nil)
 }
 
 // CompressSerial64 compresses double-precision data.
 func CompressSerial64(src []float64, mode Mode, bound float64) ([]byte, error) {
-	return CompressSerial64Traced(src, mode, bound, nil)
+	return Compress(Serial[float64]{}, src, mode, bound, nil)
 }
 
 // CompressSerial64Traced is CompressSerial64 with per-chunk stage spans
 // recorded on rec (nil disables tracing at no cost).
 func CompressSerial64Traced(src []float64, mode Mode, bound float64, rec *obs.Recorder) ([]byte, error) {
-	var rng float64
-	if mode == NOA {
-		rng = Range64(src)
-	}
-	p, err := NewParams(mode, bound, rng, true)
-	if err != nil {
-		return nil, err
-	}
-	h := Header{
-		Mode:      mode,
-		Prec64:    true,
-		Raw:       p.Raw,
-		Bound:     bound,
-		NOARange:  rng,
-		Count:     uint64(len(src)),
-		NumChunks: numChunksFor(len(src), ChunkWords64),
-	}
-	out := AppendHeader(nil, &h)
-	var s Scratch64
-	s.Rec = rec
-	s.Track = rec.Track("serial")
-	for c := 0; c < h.NumChunks; c++ {
-		lo := c * ChunkWords64
-		hi := lo + ChunkWords64
-		if hi > len(src) {
-			hi = len(src)
-		}
-		s.Unit = int32(c)
-		payload, raw := EncodeChunk64(&p, src[lo:hi], &s)
-		t := rec.Now()
-		PutChunkSize(out, c, len(payload), raw)
-		out = append(out, payload...)
-		rec.StageSpan(obs.StageEmit, s.Track, s.Unit, t)
-	}
-	return out, nil
+	return Compress(Serial[float64]{}, src, mode, bound, rec)
 }
 
 // DecompressSerial64 decodes a double-precision stream.
 func DecompressSerial64(buf []byte, dst []float64) ([]float64, error) {
-	return DecompressSerial64Traced(buf, dst, nil)
-}
-
-// DecompressSerial64Traced is DecompressSerial64 with per-chunk decode
-// spans recorded on rec (nil disables tracing at no cost).
-func DecompressSerial64Traced(buf []byte, dst []float64, rec *obs.Recorder) ([]float64, error) {
-	h, err := ParseHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	if !h.Prec64 {
-		return nil, ErrCorrupt
-	}
-	p, err := ParamsForHeader(&h)
-	if err != nil {
-		return nil, err
-	}
-	// See DecompressSerial32: chunk-table validation precedes the dst
-	// allocation.
-	offsets, lengths, raws, payload, err := ChunkTable(buf, &h)
-	if err != nil {
-		return nil, err
-	}
-	n := h.Len()
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	var s Scratch64
-	s.Rec = rec
-	s.Track = rec.Track("serial")
-	for c := 0; c < h.NumChunks; c++ {
-		lo := c * ChunkWords64
-		hi := lo + ChunkWords64
-		if hi > n {
-			hi = n
-		}
-		pl := payload[offsets[c] : offsets[c]+lengths[c]]
-		s.Unit = int32(c)
-		if err := DecodeChunk64(&p, pl, raws[c], dst[lo:hi], &s); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
+	return Decompress(Serial[float64]{}, buf, dst, nil)
 }

@@ -272,7 +272,10 @@ func TestDecompressReusesDst(t *testing.T) {
 }
 
 func TestHeaderRoundtrip(t *testing.T) {
-	h := Header{Mode: NOA, Prec64: true, Raw: true, Bound: 1e-5, NOARange: 123.5, Count: 1 << 40}
+	// A count above 2^32 exercises the full 64-bit field; 2^33 keeps the
+	// chunk-size table at 16 MB (2^40 needed 2 GB, which the race
+	// detector's shadow memory turns into an out-of-memory kill).
+	h := Header{Mode: NOA, Prec64: true, Raw: true, Bound: 1e-5, NOARange: 123.5, Count: 1 << 33}
 	h.NumChunks = numChunksFor(int(h.Count), h.chunkElems())
 	buf := AppendHeader(nil, &h)
 	// Patch: ParseHeader validates chunk count against Count, so we need

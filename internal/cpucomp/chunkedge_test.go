@@ -27,6 +27,7 @@ func edgeSizes(perChunk int) []int {
 var edgeWorkers = []int{1, 2, 7, 64, 0} // 0 = GOMAXPROCS
 
 func TestChunkEdges32(t *testing.T) {
+	forceParallel(t)
 	for _, mode := range []core.Mode{core.ABS, core.REL, core.NOA} {
 		for _, n := range edgeSizes(core.ChunkWords32) {
 			src := make([]float32, n)
@@ -67,6 +68,7 @@ func TestChunkEdges32(t *testing.T) {
 }
 
 func TestChunkEdges64(t *testing.T) {
+	forceParallel(t)
 	for _, mode := range []core.Mode{core.ABS, core.REL, core.NOA} {
 		for _, n := range edgeSizes(core.ChunkWords64) {
 			src := make([]float64, n)

@@ -14,7 +14,6 @@ package cpucomp
 import (
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"pfpl/internal/core"
@@ -32,7 +31,8 @@ func Workers(requested int) int {
 
 // Carry is the shared carry array: Carry[c] holds the absolute output offset
 // where chunk c's payload starts, or 0 while unknown. Offset 0 is never a
-// valid payload position because the header and chunk table precede it.
+// valid payload position because the header and chunk table precede it;
+// NewCarry enforces that.
 //
 // Carry is the fine-grained (spin-waiting) half of the ordered-concatenation
 // decomposition this package is built on; Chain is the coarse-grained
@@ -44,12 +44,14 @@ type Carry struct {
 }
 
 // NewCarry creates a carry array for numChunks chunks whose first payload
-// byte is at payloadStart.
+// byte is at payloadStart. It panics unless payloadStart > 0, because 0 is
+// the carry's "not yet published" sentinel.
 func NewCarry(numChunks int, payloadStart int) *Carry {
-	ca := &Carry{off: make([]int64, numChunks+1)}
-	if numChunks >= 0 {
-		atomic.StoreInt64(&ca.off[0], int64(payloadStart))
+	if payloadStart <= 0 {
+		panic("cpucomp: carry payload start must be positive (0 marks an unpublished offset)")
 	}
+	ca := &Carry{off: make([]int64, numChunks+1)}
+	atomic.StoreInt64(&ca.off[0], int64(payloadStart))
 	return ca
 }
 
@@ -71,292 +73,68 @@ func (ca *Carry) Publish(c int, end int64) {
 	atomic.StoreInt64(&ca.off[c+1], end)
 }
 
-// A dispatcher runs work on n concurrent participants and returns when all
-// of them have finished. work must be safe to call from n goroutines at
-// once. goDispatch (spawn fresh goroutines, the classic executor) and
-// Pool.dispatch (borrow persistent workers, the serving executor) are the
-// two implementations; the compressed bytes are identical under either —
-// and under any effective participant count — because chunk placement is
-// determined by the carry chain, never by scheduling.
-type dispatcher func(n int, work func())
+// Exec is the parallel CPU executor for element type T on a Pool. It
+// implements core.Executor: one dispatch covers every chunk of every planned
+// field, so a single field and a batch of thousands of small fields run the
+// same loop. Workers pull global chunk indices from one atomic counter,
+// locate the owning field by binary search over the cumulative chunk-start
+// table, and emit through that field's own carry chain. Chunk placement
+// inside each field is therefore the serial encoder's, and the bytes are
+// identical under any pool and any participant count.
+type Exec[T core.Float] struct{ Pool *Pool }
 
-// goDispatch runs work on n freshly spawned goroutines.
-func goDispatch(n int, work func()) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
+// Encode compresses every planned field with one dispatch. Each worker
+// records its stage spans on its own track (rec nil disables tracing at no
+// cost).
+func (e Exec[T]) Encode(plans []core.EncodePlan[T], rec *obs.Recorder) [][]byte {
+	starts := core.ChunkStarts(len(plans), func(f int) int { return plans[f].Header.NumChunks })
+	outs := make([][]byte, len(plans))
+	carries := make([]*Carry, len(plans))
+	for f := range plans {
+		outs[f] = plans[f].Buffer()
+		carries[f] = NewCarry(plans[f].Header.NumChunks, len(plans[f].Head))
 	}
-	wg.Wait()
-}
-
-// Compress32 compresses src in parallel with the given worker count
-// (0 = GOMAXPROCS).
-func Compress32(src []float32, mode core.Mode, bound float64, workers int) ([]byte, error) {
-	return compress32(src, mode, bound, Workers(workers), goDispatch, nil)
-}
-
-// Compress32Traced is Compress32 with per-chunk stage spans recorded on rec
-// (nil disables tracing at no cost). Each worker gets its own track.
-func Compress32Traced(src []float32, mode core.Mode, bound float64, workers int, rec *obs.Recorder) ([]byte, error) {
-	return compress32(src, mode, bound, Workers(workers), goDispatch, rec)
-}
-
-// workerTracks hands each dispatch participant a distinct recorder track
-// ("cpu-w0", "cpu-w1", ...). The nil recorder yields track 0 without
-// touching the sequence counter.
-type workerTracks struct {
-	rec *obs.Recorder
-	seq int64
-}
-
-func (wt *workerTracks) next() int32 {
-	if wt.rec == nil {
-		return 0
-	}
-	w := atomic.AddInt64(&wt.seq, 1) - 1
-	return wt.rec.Track("cpu-w" + strconv.FormatInt(w, 10))
-}
-
-func compress32(src []float32, mode core.Mode, bound float64, nw int, disp dispatcher, rec *obs.Recorder) ([]byte, error) {
-	var rng float64
-	if mode == core.NOA {
-		rng = parallelRange32(src, nw)
-	}
-	p, err := core.NewParams(mode, bound, rng, false)
-	if err != nil {
-		return nil, err
-	}
-	h := core.Header{
-		Mode:      mode,
-		Raw:       p.Raw,
-		Bound:     bound,
-		NOARange:  rng,
-		Count:     uint64(len(src)),
-		NumChunks: numChunks(len(src), core.ChunkWords32),
-	}
-	out := core.AppendHeader(nil, &h)
-	payloadStart := len(out)
-	// Worst case: every chunk stored raw.
-	out = append(out, make([]byte, len(src)*4)...)
-
-	ca := NewCarry(h.NumChunks, payloadStart)
-	var next int64
-	wt := workerTracks{rec: rec}
-	disp(nw, func() {
-		var s core.Scratch32
-		s.Rec = rec
-		s.Track = wt.next()
-		for {
-			c64 := atomic.AddInt64(&next, 1) - 1
-			if c64 >= int64(h.NumChunks) {
-				return
-			}
-			c := int(c64)
-			lo := c * core.ChunkWords32
-			hi := min(lo+core.ChunkWords32, len(src))
-			s.Unit = int32(c64)
-			payload, raw := core.EncodeChunk32(&p, src[lo:hi], &s)
-			core.PutChunkSize(out, c, len(payload), raw)
+	e.Pool.run(starts[len(plans)], rec, func(q *chunkQueue, track int32) {
+		k := core.NewKernels[T](rec, track)
+		for g, ok := q.take(); ok; g, ok = q.take() {
+			f := core.FieldOfChunk(starts, g)
+			pl := &plans[f]
+			c := g - starts[f]
+			//pfpl:ignore intwidth c is a chunk index within one field, below its uint32 chunk table size
+			unit := int32(c)
+			payload, raw := k.Encode(&pl.Params, pl.Chunk(c), unit)
+			core.PutChunkSize(outs[f], c, len(payload), raw)
 			t := rec.Now()
-			start := ca.Wait(c)
-			t = rec.StageSpan(obs.StageCarryWait, s.Track, s.Unit, t)
-			copy(out[start:], payload)
-			ca.Publish(c, start+int64(len(payload)))
-			rec.StageSpan(obs.StageEmit, s.Track, s.Unit, t)
+			start := carries[f].Wait(c)
+			t = rec.StageSpan(obs.StageCarryWait, track, unit, t)
+			copy(outs[f][start:], payload)
+			carries[f].Publish(c, start+int64(len(payload)))
+			rec.StageSpan(obs.StageEmit, track, unit, t)
 		}
 	})
-	end := payloadStart
-	if h.NumChunks > 0 {
-		//pfpl:ignore intwidth Wait returns a byte offset into out, bounded by len(out)
-		end = int(ca.Wait(h.NumChunks))
+	for f := range plans {
+		//pfpl:ignore intwidth Wait returns a byte offset into the output, bounded by MaxLen
+		outs[f] = outs[f][:carries[f].Wait(plans[f].Header.NumChunks)]
 	}
-	return out[:end], nil
+	return outs
 }
 
-// Decompress32 decodes buf in parallel; chunk starts come from a prefix sum
-// over the stored chunk sizes, making every chunk independent (§III.E).
-func Decompress32(buf []byte, dst []float32, workers int) ([]float32, error) {
-	return decompress32(buf, dst, Workers(workers), goDispatch, nil)
-}
-
-// Decompress32Traced is Decompress32 with per-chunk decode spans recorded
-// on rec (nil disables tracing at no cost).
-func Decompress32Traced(buf []byte, dst []float32, workers int, rec *obs.Recorder) ([]float32, error) {
-	return decompress32(buf, dst, Workers(workers), goDispatch, rec)
-}
-
-func decompress32(buf []byte, dst []float32, nw int, disp dispatcher, rec *obs.Recorder) ([]float32, error) {
-	h, err := core.ParseHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	if h.Prec64 {
-		return nil, core.ErrCorrupt
-	}
-	p, err := core.ParamsForHeader(&h)
-	if err != nil {
-		return nil, err
-	}
-	// Validate the chunk table — which ties every declared size to bytes
-	// actually present in buf — before sizing dst from the untrusted count.
-	offsets, lengths, raws, payload, err := core.ChunkTable(buf, &h)
-	if err != nil {
-		return nil, err
-	}
-	n := h.Len()
-	if cap(dst) < n {
-		dst = make([]float32, n)
-	}
-	dst = dst[:n]
-	err = parallelChunks(h.NumChunks, nw, disp, rec, func(c int, s *core.Scratch32, _ *core.Scratch64) error {
-		lo := c * core.ChunkWords32
-		hi := min(lo+core.ChunkWords32, n)
-		pl := payload[offsets[c] : offsets[c]+lengths[c]]
-		return core.DecodeChunk32(&p, pl, raws[c], dst[lo:hi], s)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// Compress64 is the double-precision counterpart of Compress32.
-func Compress64(src []float64, mode core.Mode, bound float64, workers int) ([]byte, error) {
-	return compress64(src, mode, bound, Workers(workers), goDispatch, nil)
-}
-
-// Compress64Traced is Compress64 with per-chunk stage spans recorded on rec
-// (nil disables tracing at no cost).
-func Compress64Traced(src []float64, mode core.Mode, bound float64, workers int, rec *obs.Recorder) ([]byte, error) {
-	return compress64(src, mode, bound, Workers(workers), goDispatch, rec)
-}
-
-func compress64(src []float64, mode core.Mode, bound float64, nw int, disp dispatcher, rec *obs.Recorder) ([]byte, error) {
-	var rng float64
-	if mode == core.NOA {
-		rng = parallelRange64(src, nw)
-	}
-	p, err := core.NewParams(mode, bound, rng, true)
-	if err != nil {
-		return nil, err
-	}
-	h := core.Header{
-		Mode:      mode,
-		Prec64:    true,
-		Raw:       p.Raw,
-		Bound:     bound,
-		NOARange:  rng,
-		Count:     uint64(len(src)),
-		NumChunks: numChunks(len(src), core.ChunkWords64),
-	}
-	out := core.AppendHeader(nil, &h)
-	payloadStart := len(out)
-	out = append(out, make([]byte, len(src)*8)...)
-
-	ca := NewCarry(h.NumChunks, payloadStart)
-	var next int64
-	wt := workerTracks{rec: rec}
-	disp(nw, func() {
-		var s core.Scratch64
-		s.Rec = rec
-		s.Track = wt.next()
-		for {
-			c64 := atomic.AddInt64(&next, 1) - 1
-			if c64 >= int64(h.NumChunks) {
-				return
-			}
-			c := int(c64)
-			lo := c * core.ChunkWords64
-			hi := min(lo+core.ChunkWords64, len(src))
-			s.Unit = int32(c64)
-			payload, raw := core.EncodeChunk64(&p, src[lo:hi], &s)
-			core.PutChunkSize(out, c, len(payload), raw)
-			t := rec.Now()
-			start := ca.Wait(c)
-			t = rec.StageSpan(obs.StageCarryWait, s.Track, s.Unit, t)
-			copy(out[start:], payload)
-			ca.Publish(c, start+int64(len(payload)))
-			rec.StageSpan(obs.StageEmit, s.Track, s.Unit, t)
-		}
-	})
-	end := payloadStart
-	if h.NumChunks > 0 {
-		//pfpl:ignore intwidth Wait returns a byte offset into out, bounded by len(out)
-		end = int(ca.Wait(h.NumChunks))
-	}
-	return out[:end], nil
-}
-
-// Decompress64 decodes a double-precision stream in parallel.
-func Decompress64(buf []byte, dst []float64, workers int) ([]float64, error) {
-	return decompress64(buf, dst, Workers(workers), goDispatch, nil)
-}
-
-// Decompress64Traced is Decompress64 with per-chunk decode spans recorded
-// on rec (nil disables tracing at no cost).
-func Decompress64Traced(buf []byte, dst []float64, workers int, rec *obs.Recorder) ([]float64, error) {
-	return decompress64(buf, dst, Workers(workers), goDispatch, rec)
-}
-
-func decompress64(buf []byte, dst []float64, nw int, disp dispatcher, rec *obs.Recorder) ([]float64, error) {
-	h, err := core.ParseHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	if !h.Prec64 {
-		return nil, core.ErrCorrupt
-	}
-	p, err := core.ParamsForHeader(&h)
-	if err != nil {
-		return nil, err
-	}
-	// See decompress32: chunk-table validation precedes the dst allocation.
-	offsets, lengths, raws, payload, err := core.ChunkTable(buf, &h)
-	if err != nil {
-		return nil, err
-	}
-	n := h.Len()
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	err = parallelChunks(h.NumChunks, nw, disp, rec, func(c int, _ *core.Scratch32, s *core.Scratch64) error {
-		lo := c * core.ChunkWords64
-		hi := min(lo+core.ChunkWords64, n)
-		pl := payload[offsets[c] : offsets[c]+lengths[c]]
-		return core.DecodeChunk64(&p, pl, raws[c], dst[lo:hi], s)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// parallelChunks runs fn over every chunk index with dynamic assignment.
-// The first error wins; remaining chunks are still visited (they are cheap
-// and the data is discarded on error).
-func parallelChunks(numChunks, workers int, disp dispatcher, rec *obs.Recorder, fn func(c int, s32 *core.Scratch32, s64 *core.Scratch64) error) error {
-	var next int64
+// Decode decodes every planned field with one dispatch. Chunk starts come
+// from the plans' prefix sums over the stored chunk sizes, making every
+// chunk independent (§III.E). The first error wins; remaining chunks are
+// still visited (they are cheap and the data is discarded on error).
+func (e Exec[T]) Decode(plans []core.DecodePlan[T], rec *obs.Recorder) error {
+	starts := core.ChunkStarts(len(plans), func(f int) int { return plans[f].Header.NumChunks })
 	var firstErr atomic.Value
-	wt := workerTracks{rec: rec}
-	disp(workers, func() {
-		var s32 core.Scratch32
-		var s64 core.Scratch64
-		s32.Rec, s64.Rec = rec, rec
-		s32.Track = wt.next()
-		s64.Track = s32.Track
-		for {
-			c64 := atomic.AddInt64(&next, 1) - 1
-			if c64 >= int64(numChunks) {
-				return
-			}
-			c := int(c64)
-			s32.Unit, s64.Unit = int32(c64), int32(c64)
-			if err := fn(c, &s32, &s64); err != nil {
+	e.Pool.run(starts[len(plans)], rec, func(q *chunkQueue, track int32) {
+		k := core.NewKernels[T](rec, track)
+		for g, ok := q.take(); ok; g, ok = q.take() {
+			f := core.FieldOfChunk(starts, g)
+			pl := &plans[f]
+			c := g - starts[f]
+			payload, raw := pl.ChunkPayload(c)
+			//pfpl:ignore intwidth c is a chunk index within one field, below its uint32 chunk table size
+			if err := k.Decode(&pl.Params, payload, raw, pl.ChunkDst(c), int32(c)); err != nil {
 				firstErr.CompareAndSwap(nil, err)
 			}
 		}
@@ -367,135 +145,79 @@ func parallelChunks(numChunks, workers int, disp dispatcher, rec *obs.Recorder, 
 	return nil
 }
 
-func numChunks(n, perChunk int) int {
-	if n == 0 {
-		return 0
-	}
-	return (n + perChunk - 1) / perChunk
+// chunkQueue hands out global chunk indices in increasing order.
+type chunkQueue struct {
+	next  atomic.Int64
+	total int64
 }
 
-// parallelRange32 computes max-min over finite values with a deterministic
-// parallel reduction: per-segment partials merged in segment order.
-func parallelRange32(src []float32, workers int) float64 {
-	if len(src) == 0 {
-		return 0
-	}
-	seg := (len(src) + workers - 1) / workers
-	type part struct {
-		mn, mx float32
-		ok     bool
-	}
-	parts := make([]part, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * seg
-		hi := min(lo+seg, len(src))
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var p part
-			for _, v := range src[lo:hi] {
-				if v != v {
-					continue
-				}
-				if !p.ok {
-					p.mn, p.mx, p.ok = v, v, true
-					continue
-				}
-				if v < p.mn {
-					p.mn = v
-				}
-				if v > p.mx {
-					p.mx = v
-				}
-			}
-			parts[w] = p
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var acc part
-	for _, p := range parts {
-		if !p.ok {
-			continue
-		}
-		if !acc.ok {
-			acc = p
-			continue
-		}
-		if p.mn < acc.mn {
-			acc.mn = p.mn
-		}
-		if p.mx > acc.mx {
-			acc.mx = p.mx
-		}
-	}
-	if !acc.ok {
-		return 0
-	}
-	return float64(acc.mx) - float64(acc.mn)
+func (q *chunkQueue) take() (int, bool) {
+	g := q.next.Add(1) - 1
+	return int(g), g < q.total
 }
 
-func parallelRange64(src []float64, workers int) float64 {
-	if len(src) == 0 {
-		return 0
+// run dispatches total chunks over p's participants, never more participants
+// than chunks. Each participant gets its own recorder track ("cpu-w0",
+// "cpu-w1", ...; track 0 without a recorder) and pulls chunk indices from
+// one shared queue.
+func (p *Pool) run(total int, rec *obs.Recorder, body func(q *chunkQueue, track int32)) {
+	if total == 0 {
+		return
 	}
-	seg := (len(src) + workers - 1) / workers
-	type part struct {
-		mn, mx float64
-		ok     bool
-	}
-	parts := make([]part, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * seg
-		hi := min(lo+seg, len(src))
-		if lo >= hi {
-			continue
+	q := &chunkQueue{total: int64(total)}
+	var seq atomic.Int64
+	p.dispatch(min(p.Size(), total), func() {
+		var track int32
+		if rec != nil {
+			track = rec.Track("cpu-w" + strconv.FormatInt(seq.Add(1)-1, 10))
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var p part
-			for _, v := range src[lo:hi] {
-				if v != v {
-					continue
-				}
-				if !p.ok {
-					p.mn, p.mx, p.ok = v, v, true
-					continue
-				}
-				if v < p.mn {
-					p.mn = v
-				}
-				if v > p.mx {
-					p.mx = v
-				}
-			}
-			parts[w] = p
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var acc part
-	for _, p := range parts {
-		if !p.ok {
-			continue
-		}
-		if !acc.ok {
-			acc = p
-			continue
-		}
-		if p.mn < acc.mn {
-			acc.mn = p.mn
-		}
-		if p.mx > acc.mx {
-			acc.mx = p.mx
-		}
-	}
-	if !acc.ok {
-		return 0
-	}
-	return acc.mx - acc.mn
+		body(q, track)
+	})
+}
+
+// The entry points below keep the per-precision signatures existing callers
+// use; each is one call into the generic core.
+
+// Compress32 compresses src in parallel with the given worker count
+// (0 = GOMAXPROCS).
+func Compress32(src []float32, mode core.Mode, bound float64, workers int) ([]byte, error) {
+	return core.Compress(Exec[float32]{SpawnPool(workers)}, src, mode, bound, nil)
+}
+
+// Compress64 is the double-precision counterpart of Compress32.
+func Compress64(src []float64, mode core.Mode, bound float64, workers int) ([]byte, error) {
+	return core.Compress(Exec[float64]{SpawnPool(workers)}, src, mode, bound, nil)
+}
+
+// Decompress32 decodes buf in parallel into dst (reused when its capacity
+// suffices).
+func Decompress32(buf []byte, dst []float32, workers int) ([]float32, error) {
+	return core.Decompress(Exec[float32]{SpawnPool(workers)}, buf, dst, nil)
+}
+
+// Decompress64 decodes a double-precision stream in parallel.
+func Decompress64(buf []byte, dst []float64, workers int) ([]float64, error) {
+	return core.Decompress(Exec[float64]{SpawnPool(workers)}, buf, dst, nil)
+}
+
+// CompressBatch32 compresses all fields into one batch container with a
+// single dispatch (0 workers = GOMAXPROCS).
+func CompressBatch32(fields [][]float32, mode core.Mode, bound float64, workers int) ([]byte, error) {
+	return core.CompressBatch(Exec[float32]{SpawnPool(workers)}, fields, mode, bound, nil)
+}
+
+// CompressBatch64 is the double-precision counterpart of CompressBatch32.
+func CompressBatch64(fields [][]float64, mode core.Mode, bound float64, workers int) ([]byte, error) {
+	return core.CompressBatch(Exec[float64]{SpawnPool(workers)}, fields, mode, bound, nil)
+}
+
+// DecompressBatch32 decodes a batch container into per-field slices with a
+// single dispatch over all fields' chunks (0 workers = GOMAXPROCS).
+func DecompressBatch32(buf []byte, workers int) ([][]float32, error) {
+	return core.DecompressBatch(Exec[float32]{SpawnPool(workers)}, buf, nil)
+}
+
+// DecompressBatch64 is the double-precision counterpart of DecompressBatch32.
+func DecompressBatch64(buf []byte, workers int) ([][]float64, error) {
+	return core.DecompressBatch(Exec[float64]{SpawnPool(workers)}, buf, nil)
 }

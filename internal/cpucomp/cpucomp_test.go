@@ -4,10 +4,19 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pfpl/internal/core"
 )
+
+// forceParallel runs the test at GOMAXPROCS 8 whatever the host's core
+// count, so the carry chain and the pool are exercised by goroutines that
+// really run at once.
+func forceParallel(t *testing.T) {
+	prev := runtime.GOMAXPROCS(8)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 func synth(n int, seed int64) []float32 {
 	rng := rand.New(rand.NewSource(seed))
@@ -20,6 +29,7 @@ func synth(n int, seed int64) []float32 {
 }
 
 func TestCarryChainManyWorkers(t *testing.T) {
+	forceParallel(t)
 	// Stress the shared-carry concatenation: many chunks, many workers,
 	// chunk sizes that vary wildly (mixed compressible/incompressible
 	// regions), repeated to shake out ordering races.
@@ -51,6 +61,7 @@ func TestCarryChainManyWorkers(t *testing.T) {
 }
 
 func TestParallelDecompressMatchesSerial(t *testing.T) {
+	forceParallel(t)
 	src := synth(10*core.ChunkWords32+5, 2)
 	comp, err := Compress32(src, core.REL, 1e-2, 0)
 	if err != nil {
@@ -74,6 +85,7 @@ func TestParallelDecompressMatchesSerial(t *testing.T) {
 }
 
 func TestParallel64(t *testing.T) {
+	forceParallel(t)
 	src := make([]float64, 9*core.ChunkWords64+77)
 	for i := range src {
 		src[i] = math.Cos(float64(i) * 0.004)
@@ -134,5 +146,24 @@ func TestEmptyInputParallel(t *testing.T) {
 	}
 	if len(dec) != 0 {
 		t.Errorf("got %d values", len(dec))
+	}
+}
+
+// TestNewCarryRejectsZeroStart pins the carry's sentinel contract: offset 0
+// means "not yet published", so a chain starting at 0 would hang its first
+// waiter.
+func TestNewCarryRejectsZeroStart(t *testing.T) {
+	for _, start := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCarry(1, %d) did not panic", start)
+				}
+			}()
+			NewCarry(1, start)
+		}()
+	}
+	if got := NewCarry(0, 40).Wait(0); got != 40 {
+		t.Fatalf("empty carry start = %d, want 40", got)
 	}
 }

@@ -4,15 +4,15 @@ import (
 	"sync"
 
 	"pfpl/internal/core"
-	"pfpl/internal/obs"
 )
 
-// Pool is a persistent set of compression workers shared across calls. The
-// package-level Compress/Decompress functions spawn their goroutines per
-// call, which is right for batch runs; a server handling many small
-// requests would pay that spawn (and the scheduler churn of unbounded
-// goroutine counts) on every request. A Pool starts its workers once and
-// lets each call borrow however many are idle.
+// Pool is the set of goroutines a call's chunks are dispatched on. A pool
+// made by NewPool starts persistent workers once and lets each call borrow
+// however many are idle: a server handling many small requests would
+// otherwise pay a goroutine spawn (and the scheduler churn of unbounded
+// goroutine counts) on every request. A pool made by SpawnPool has no
+// persistent workers; each call spawns its own participants, which is
+// right for one-off batch runs.
 //
 // Borrowing is non-blocking: a call always runs one participant on its own
 // goroutine (guaranteeing progress even with every worker busy) and offers
@@ -26,9 +26,9 @@ import (
 // (the carry chain fixes chunk placement), so sharing a Pool never changes
 // output — the cross-executor bit-identity that internal/conformance pins.
 type Pool struct {
-	tasks chan func()
+	tasks chan func() // nil: no persistent workers, calls spawn participants
 	quit  chan struct{}
-	size  int
+	size  int // persistent workers, or a spawning pool's requested count
 
 	closeOnce sync.Once
 }
@@ -53,23 +53,36 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Size returns the number of persistent workers.
-func (p *Pool) Size() int { return p.size }
+// SpawnPool returns a pool without persistent workers: every call spawns up
+// to the given number of participants (0 = GOMAXPROCS at call time).
+func SpawnPool(workers int) *Pool { return &Pool{size: workers} }
+
+// Size returns the number of participants a call may use.
+func (p *Pool) Size() int {
+	if p.tasks == nil {
+		return Workers(p.size)
+	}
+	return p.size
+}
 
 // Close stops the workers after in-flight tasks finish. Calls in progress
 // complete normally (their inline participant finishes the work); new calls
 // after Close run single-threaded on the caller. The tasks channel is never
 // closed — dispatch may race with Close, and a send into a quit pool must
-// fall through to the inline path, not panic.
+// fall through to the inline path, not panic. Closing a spawning pool is a
+// no-op.
 func (p *Pool) Close() {
-	p.closeOnce.Do(func() { close(p.quit) })
+	if p.tasks != nil {
+		p.closeOnce.Do(func() { close(p.quit) })
+	}
 }
 
-// dispatch implements dispatcher on the pool: up to n-1 participant slots
-// are offered to idle workers (an unbuffered send succeeds only when a
-// worker is actually waiting), and the calling goroutine is always the
-// final participant, so the call makes progress even when the pool is
-// saturated by other requests.
+// dispatch runs work on n concurrent participants and returns when all of
+// them have finished. The calling goroutine is always the final
+// participant, so the call makes progress even when the pool is saturated
+// by other requests. A spawning pool starts the other n-1; a persistent
+// pool offers them to idle workers (an unbuffered send succeeds only when a
+// worker is actually waiting) and drops the slots nobody takes.
 func (p *Pool) dispatch(n int, work func()) {
 	var wg sync.WaitGroup
 	for i := 1; i < n; i++ {
@@ -77,6 +90,10 @@ func (p *Pool) dispatch(n int, work func()) {
 		task := func() {
 			defer wg.Done()
 			work()
+		}
+		if p.tasks == nil {
+			go task()
+			continue
 		}
 		select {
 		case p.tasks <- task:
@@ -90,44 +107,10 @@ func (p *Pool) dispatch(n int, work func()) {
 
 // Compress32 compresses src using the pool's workers.
 func (p *Pool) Compress32(src []float32, mode core.Mode, bound float64) ([]byte, error) {
-	return compress32(src, mode, bound, p.size, p.dispatch, nil)
-}
-
-// Compress32Traced is Compress32 with per-chunk stage spans recorded on rec
-// (nil disables tracing at no cost).
-func (p *Pool) Compress32Traced(src []float32, mode core.Mode, bound float64, rec *obs.Recorder) ([]byte, error) {
-	return compress32(src, mode, bound, p.size, p.dispatch, rec)
-}
-
-// Decompress32 decodes buf using the pool's workers.
-func (p *Pool) Decompress32(buf []byte, dst []float32) ([]float32, error) {
-	return decompress32(buf, dst, p.size, p.dispatch, nil)
-}
-
-// Decompress32Traced is Decompress32 with per-chunk decode spans recorded
-// on rec (nil disables tracing at no cost).
-func (p *Pool) Decompress32Traced(buf []byte, dst []float32, rec *obs.Recorder) ([]float32, error) {
-	return decompress32(buf, dst, p.size, p.dispatch, rec)
+	return core.Compress(Exec[float32]{p}, src, mode, bound, nil)
 }
 
 // Compress64 compresses double-precision src using the pool's workers.
 func (p *Pool) Compress64(src []float64, mode core.Mode, bound float64) ([]byte, error) {
-	return compress64(src, mode, bound, p.size, p.dispatch, nil)
-}
-
-// Compress64Traced is Compress64 with per-chunk stage spans recorded on rec
-// (nil disables tracing at no cost).
-func (p *Pool) Compress64Traced(src []float64, mode core.Mode, bound float64, rec *obs.Recorder) ([]byte, error) {
-	return compress64(src, mode, bound, p.size, p.dispatch, rec)
-}
-
-// Decompress64 decodes a double-precision stream using the pool's workers.
-func (p *Pool) Decompress64(buf []byte, dst []float64) ([]float64, error) {
-	return decompress64(buf, dst, p.size, p.dispatch, nil)
-}
-
-// Decompress64Traced is Decompress64 with per-chunk decode spans recorded
-// on rec (nil disables tracing at no cost).
-func (p *Pool) Decompress64Traced(buf []byte, dst []float64, rec *obs.Recorder) ([]float64, error) {
-	return decompress64(buf, dst, p.size, p.dispatch, rec)
+	return core.Compress(Exec[float64]{p}, src, mode, bound, nil)
 }

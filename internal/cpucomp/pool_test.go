@@ -21,6 +21,7 @@ func poolTestData(n int) []float32 {
 // and decompression must match the per-call-spawn executor byte for byte,
 // at several pool sizes, including frames smaller than one chunk.
 func TestPoolMatchesSpawned(t *testing.T) {
+	forceParallel(t)
 	sizes := []int{0, 1, core.ChunkWords32 - 1, core.ChunkWords32 + 1, 5*core.ChunkWords32 + 321}
 	for _, workers := range []int{1, 2, 0} {
 		p := NewPool(workers)
@@ -37,7 +38,7 @@ func TestPoolMatchesSpawned(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("workers=%d n=%d: pooled stream differs from spawned", workers, n)
 			}
-			dec, err := p.Decompress32(got, nil)
+			dec, err := core.Decompress(Exec[float32]{p}, got, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,6 +60,7 @@ func TestPoolMatchesSpawned(t *testing.T) {
 // every caller must get the same bytes the spawned executor produces, and
 // the race detector must stay quiet.
 func TestPoolConcurrentCallers(t *testing.T) {
+	forceParallel(t)
 	p := NewPool(0)
 	defer p.Close()
 	src := poolTestData(3*core.ChunkWords32 + 17)
@@ -82,7 +84,7 @@ func TestPoolConcurrentCallers(t *testing.T) {
 					t.Error("concurrent pooled stream differs from spawned")
 					return
 				}
-				if _, err := p.Decompress32(got, nil); err != nil {
+				if _, err := core.Decompress(Exec[float32]{p}, got, nil, nil); err != nil {
 					errs <- err
 					return
 				}
@@ -118,7 +120,7 @@ func TestPoolAfterClose(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("post-Close pooled stream differs from spawned")
 	}
-	if _, err := p.Decompress64(got, nil); err != nil {
+	if _, err := core.Decompress(Exec[float64]{p}, got, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }

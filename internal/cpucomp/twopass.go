@@ -1,9 +1,6 @@
 package cpucomp
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"pfpl/internal/core"
 )
 
@@ -14,21 +11,9 @@ import (
 // all chunk buffers live at once; the ablation benchmark quantifies what
 // the shared-carry single-pass scheme saves.
 func Compress32TwoPass(src []float32, mode core.Mode, bound float64, workers int) ([]byte, error) {
-	var rng float64
-	if mode == core.NOA {
-		rng = parallelRange32(src, Workers(workers))
-	}
-	p, err := core.NewParams(mode, bound, rng, false)
+	pl, err := core.PlanEncode(src, mode, bound)
 	if err != nil {
 		return nil, err
-	}
-	h := core.Header{
-		Mode:      mode,
-		Raw:       p.Raw,
-		Bound:     bound,
-		NOARange:  rng,
-		Count:     uint64(len(src)),
-		NumChunks: core.NumChunksFor(len(src), core.ChunkWords32),
 	}
 
 	// Pass 1: compress every chunk into a private buffer.
@@ -36,32 +21,17 @@ func Compress32TwoPass(src []float32, mode core.Mode, bound float64, workers int
 		payload []byte
 		raw     bool
 	}
-	outs := make([]chunkOut, h.NumChunks)
-	var next int64
-	nw := Workers(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var s core.Scratch32
-			for {
-				c64 := atomic.AddInt64(&next, 1) - 1
-				if c64 >= int64(h.NumChunks) {
-					return
-				}
-				c := int(c64)
-				lo := c * core.ChunkWords32
-				hi := min(lo+core.ChunkWords32, len(src))
-				payload, raw := core.EncodeChunk32(&p, src[lo:hi], &s)
-				outs[c] = chunkOut{payload: append([]byte(nil), payload...), raw: raw}
-			}
-		}()
-	}
-	wg.Wait()
+	outs := make([]chunkOut, pl.Header.NumChunks)
+	SpawnPool(workers).run(len(outs), nil, func(q *chunkQueue, _ int32) {
+		k := core.NewKernels[float32](nil, 0)
+		for c, ok := q.take(); ok; c, ok = q.take() {
+			payload, raw := k.Encode(&pl.Params, pl.Chunk(c), 0)
+			outs[c] = chunkOut{payload: append([]byte(nil), payload...), raw: raw}
+		}
+	})
 
 	// Pass 2: size table and concatenation.
-	out := core.AppendHeader(nil, &h)
+	out := pl.Head
 	for c, o := range outs {
 		core.PutChunkSize(out, c, len(o.payload), o.raw)
 	}

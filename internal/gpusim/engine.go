@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -91,46 +92,60 @@ func (m DeviceModel) Grid(blocks, threadsPerBlock int, makeKernel func(sm int) f
 // soon as it is known; to learn its exclusive prefix it walks backwards
 // over predecessor descriptors, summing aggregates until it meets a block
 // whose inclusive prefix is already final.
+//
+// Each descriptor packs the status flag and the value into one atomic word,
+// as in Merrill and Garland's design. With the two in separate words a
+// reader could observe "aggregate ready" and then load the value after the
+// owner had already upgraded it to the inclusive prefix, counting every
+// earlier block twice.
 type Lookback struct {
-	status []int32 // 0 = invalid, 1 = aggregate ready, 2 = prefix ready
-	value  []int64 // aggregate (status 1) or inclusive prefix (status 2)
+	desc []uint64 // value<<statusBits | status
 }
 
-// Look-back status codes.
+// Look-back status codes, held in the low statusBits of a descriptor.
 const (
-	statusInvalid   = 0
-	statusAggregate = 1
-	statusPrefix    = 2
+	statusInvalid   = 0 // nothing published yet
+	statusAggregate = 1 // value is the block's own aggregate
+	statusPrefix    = 2 // value is the block's inclusive prefix
+
+	statusBits = 2
+	statusMask = 1<<statusBits - 1
 )
 
 // NewLookback creates descriptors for n blocks.
 func NewLookback(n int) *Lookback {
-	return &Lookback{status: make([]int32, n), value: make([]int64, n)}
+	return &Lookback{desc: make([]uint64, n)}
+}
+
+// descriptor packs a status and a non-negative value below 2^62.
+func descriptor(status uint64, v int64) uint64 {
+	if v < 0 || v > math.MaxInt64>>statusBits {
+		panic("gpusim: look-back value outside the descriptor's 62-bit range")
+	}
+	return uint64(v)<<statusBits | status
 }
 
 // ExclusivePrefix publishes block b's aggregate and resolves the sum of all
 // predecessor aggregates, spinning on not-yet-published descriptors.
 func (lb *Lookback) ExclusivePrefix(b int, aggregate int64) int64 {
-	atomic.StoreInt64(&lb.value[b], aggregate)
-	atomic.StoreInt32(&lb.status[b], statusAggregate)
+	atomic.StoreUint64(&lb.desc[b], descriptor(statusAggregate, aggregate))
 	var prefix int64
 	for pred := b - 1; pred >= 0; {
-		st := atomic.LoadInt32(&lb.status[pred])
-		switch st {
+		d := atomic.LoadUint64(&lb.desc[pred])
+		switch d & statusMask {
 		case statusInvalid:
 			runtime.Gosched()
 		case statusAggregate:
-			prefix += atomic.LoadInt64(&lb.value[pred])
+			prefix += int64(d >> statusBits)
 			pred--
 		case statusPrefix:
-			prefix += atomic.LoadInt64(&lb.value[pred])
+			prefix += int64(d >> statusBits)
 			pred = -1
 		}
 	}
 	// Upgrade this block's descriptor to a final inclusive prefix so later
 	// blocks can stop their look-back here.
-	atomic.StoreInt64(&lb.value[b], prefix+aggregate)
-	atomic.StoreInt32(&lb.status[b], statusPrefix)
+	atomic.StoreUint64(&lb.desc[b], descriptor(statusPrefix, prefix+aggregate))
 	return prefix
 }
 
@@ -138,12 +153,15 @@ func (lb *Lookback) ExclusivePrefix(b int, aggregate int64) int64 {
 // Call only after the grid has been launched (typically after Grid returns,
 // when it is immediate).
 func (lb *Lookback) Total() int64 {
-	n := len(lb.status)
+	n := len(lb.desc)
 	if n == 0 {
 		return 0
 	}
-	for atomic.LoadInt32(&lb.status[n-1]) != statusPrefix {
+	for {
+		d := atomic.LoadUint64(&lb.desc[n-1])
+		if d&statusMask == statusPrefix {
+			return int64(d >> statusBits)
+		}
 		runtime.Gosched()
 	}
-	return atomic.LoadInt64(&lb.value[n-1])
 }

@@ -6,6 +6,7 @@ import (
 )
 
 func TestGridVisitsEveryBlockOnce(t *testing.T) {
+	forceParallel(t)
 	for _, blocks := range []int{0, 1, 7, 256} {
 		var visits [256]int32
 		RTX4090.Grid(blocks, 64, func(int) func(*Block) {
@@ -50,6 +51,7 @@ func TestForEachCoversAllThreads(t *testing.T) {
 }
 
 func TestMakeKernelCalledPerWorkerNotPerBlock(t *testing.T) {
+	forceParallel(t)
 	var factories int32
 	var blocks int32
 	RTX4090.Grid(64, 32, func(int) func(*Block) {

@@ -4,12 +4,21 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"pfpl/internal/core"
 )
+
+// forceParallel runs the test at GOMAXPROCS 8 whatever the host's core
+// count: the grid runs blocks serially at GOMAXPROCS 1, which once hid a
+// look-back race for many releases.
+func forceParallel(t *testing.T) {
+	prev := runtime.GOMAXPROCS(8)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 func TestBlockExclusiveScanInt(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -75,6 +84,7 @@ func TestBlockInclusiveScanU64(t *testing.T) {
 }
 
 func TestLookbackMatchesSerialPrefix(t *testing.T) {
+	forceParallel(t)
 	// Hammer the decoupled look-back with concurrent publishers arriving
 	// in increasing assignment order, as Grid guarantees.
 	const n = 500
@@ -185,6 +195,7 @@ func adversarial32(n int, seed int64) []float32 {
 // the GPU-formulated kernels produce the same bytes as the CPU encoder, and
 // the GPU decoder reconstructs the same values bit for bit.
 func TestGPUBitIdentical32(t *testing.T) {
+	forceParallel(t)
 	inputs := map[string][]float32{
 		"smooth":      synth32(3*core.ChunkWords32+1234, 1),
 		"adversarial": adversarial32(2*core.ChunkWords32+7, 2),
@@ -198,7 +209,7 @@ func TestGPUBitIdentical32(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: serial: %v", name, mode, err)
 			}
-			got, err := Compress32(RTX4090, src, mode, 1e-3)
+			got, err := core.Compress(Exec32{RTX4090}, src, mode, 1e-3, nil)
 			if err != nil {
 				t.Fatalf("%s %v: gpu: %v", name, mode, err)
 			}
@@ -210,7 +221,7 @@ func TestGPUBitIdentical32(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec, err := Decompress32(A100, ref, nil)
+			dec, err := core.Decompress(Exec32{A100}, ref, nil, nil)
 			if err != nil {
 				t.Fatalf("%s %v: gpu decompress: %v", name, mode, err)
 			}
@@ -225,6 +236,7 @@ func TestGPUBitIdentical32(t *testing.T) {
 }
 
 func TestGPUBitIdentical64(t *testing.T) {
+	forceParallel(t)
 	inputs := map[string][]float64{
 		"smooth": synth64(3*core.ChunkWords64+555, 5),
 		"tiny":   synth64(3, 6),
@@ -235,7 +247,7 @@ func TestGPUBitIdentical64(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Compress64(RTX4090, src, mode, 1e-4)
+			got, err := core.Compress(Exec64{RTX4090}, src, mode, 1e-4, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +255,7 @@ func TestGPUBitIdentical64(t *testing.T) {
 				t.Fatalf("%s %v: GPU stream differs from serial", name, mode)
 			}
 			want, _ := core.DecompressSerial64(ref, nil)
-			dec, err := Decompress64(TitanXp, ref, nil)
+			dec, err := core.Decompress(Exec64{TitanXp}, ref, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,12 +269,13 @@ func TestGPUBitIdentical64(t *testing.T) {
 }
 
 func TestGPUAllModelsIdentical(t *testing.T) {
+	forceParallel(t)
 	// Device geometry (SMs, clock, block limits) must never change the
 	// output bytes, only modelled speed.
 	src := synth32(2*core.ChunkWords32+99, 7)
 	var ref []byte
 	for _, m := range Models {
-		got, err := Compress32(m, src, core.ABS, 1e-2)
+		got, err := core.Compress(Exec32{m}, src, core.ABS, 1e-2, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
@@ -278,11 +291,11 @@ func TestGPUAllModelsIdentical(t *testing.T) {
 
 func TestGPURejectsCorruptStreams(t *testing.T) {
 	src := synth32(50000, 8)
-	comp, err := Compress32(RTX4090, src, core.ABS, 1e-3)
+	comp, err := core.Compress(Exec32{RTX4090}, src, core.ABS, 1e-3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decompress32(RTX4090, comp[:len(comp)-3], nil); err == nil {
+	if _, err := core.Decompress(Exec32{RTX4090}, comp[:len(comp)-3], nil, nil); err == nil {
 		t.Error("truncated stream accepted")
 	}
 	rng := rand.New(rand.NewSource(9))
@@ -290,7 +303,7 @@ func TestGPURejectsCorruptStreams(t *testing.T) {
 		buf := append([]byte(nil), comp...)
 		buf[rng.Intn(len(buf))] ^= byte(1 << uint(rng.Intn(8)))
 		// Must never panic.
-		_, _ = Decompress32(RTX4090, buf, nil)
+		_, _ = core.Decompress(Exec32{RTX4090}, buf, nil, nil)
 	}
 }
 
@@ -334,19 +347,20 @@ func TestDRAMUtilizationModest(t *testing.T) {
 }
 
 func TestGPUCompressDecompressThreadCounts(t *testing.T) {
+	forceParallel(t)
 	// Block size must not affect bytes: run a degenerate 1-thread device.
 	tiny := DeviceModel{Name: "tiny", SMs: 1, CoresPerSM: 1, BoostClockGHz: 1,
 		MemBandwidthGBs: 1, MaxThreadsPerBlock: 32}
 	src := synth32(core.ChunkWords32+123, 10)
 	ref, _ := core.CompressSerial32(src, core.REL, 1e-2)
-	got, err := Compress32(tiny, src, core.REL, 1e-2)
+	got, err := core.Compress(Exec32{tiny}, src, core.REL, 1e-2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ref, got) {
 		t.Fatal("32-thread blocks change the output bytes")
 	}
-	dec, err := Decompress32(tiny, got, nil)
+	dec, err := core.Decompress(Exec32{tiny}, got, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,6 @@ package gpusim
 
 import (
 	"encoding/binary"
-	"strconv"
-	"sync/atomic"
 
 	"pfpl/internal/bits"
 	"pfpl/internal/core"
@@ -310,184 +308,4 @@ func decodeChunk32(b *Block, p *core.Params, payload []byte, raw bool, dst []flo
 		}
 	})
 	return nil
-}
-
-// Compress32 compresses src on the simulated device. The output stream is
-// bit-for-bit identical to the serial and parallel-CPU encoders' output.
-func Compress32(m DeviceModel, src []float32, mode core.Mode, bound float64) ([]byte, error) {
-	return Compress32Traced(m, src, mode, bound, nil)
-}
-
-// smTrack registers the per-SM lane for worker sm on rec (track 0 when
-// tracing is disabled).
-func smTrack(rec *obs.Recorder, sm int) int32 {
-	if rec == nil {
-		return 0
-	}
-	return rec.Track("sm-" + strconv.Itoa(sm))
-}
-
-// Compress32Traced is Compress32 with per-block kernel-phase spans recorded
-// on rec (nil disables tracing at no cost). Each simulated SM (grid worker)
-// gets its own track.
-func Compress32Traced(m DeviceModel, src []float32, mode core.Mode, bound float64, rec *obs.Recorder) ([]byte, error) {
-	var rng float64
-	if mode == core.NOA {
-		rng = gridRange32(m, src)
-	}
-	p, err := core.NewParams(mode, bound, rng, false)
-	if err != nil {
-		return nil, err
-	}
-	h := core.Header{
-		Mode:      mode,
-		Raw:       p.Raw,
-		Bound:     bound,
-		NOARange:  rng,
-		Count:     uint64(len(src)),
-		NumChunks: core.NumChunksFor(len(src), core.ChunkWords32),
-	}
-	out := core.AppendHeader(nil, &h)
-	payloadStart := len(out)
-	out = append(out, make([]byte, len(src)*4)...)
-
-	lb := NewLookback(h.NumChunks)
-	m.Grid(h.NumChunks, threadsPerBlock, func(sm int) func(*Block) {
-		s := newShared32(min(threadsPerBlock, m.MaxThreadsPerBlock))
-		s.rec = rec
-		s.track = smTrack(rec, sm)
-		return func(b *Block) {
-			c := b.Idx
-			lo := c * core.ChunkWords32
-			hi := min(lo+core.ChunkWords32, len(src))
-			//pfpl:ignore intwidth c is a chunk index below NumChunks < 2^31 (uint32 table)
-			s.unit = int32(c)
-			size, raw := encodeChunk32(b, &p, src[lo:hi], s)
-			core.PutChunkSize(out, c, size, raw)
-			t := rec.Now()
-			prefix := lb.ExclusivePrefix(c, int64(size))
-			t = rec.StageSpan(obs.StageCarryWait, s.track, s.unit, t)
-			//pfpl:ignore intwidth prefix is a byte offset into out, bounded by len(out)
-			copy(out[payloadStart+int(prefix):], s.out[:size])
-			rec.StageSpan(obs.StageEmit, s.track, s.unit, t)
-		}
-	})
-	//pfpl:ignore intwidth Total is the summed payload length, bounded by len(out)
-	end := payloadStart + int(lb.Total())
-	return out[:end], nil
-}
-
-// Decompress32 decodes buf on the simulated device.
-func Decompress32(m DeviceModel, buf []byte, dst []float32) ([]float32, error) {
-	return Decompress32Traced(m, buf, dst, nil)
-}
-
-// Decompress32Traced is Decompress32 with per-block decode spans recorded
-// on rec (nil disables tracing at no cost).
-func Decompress32Traced(m DeviceModel, buf []byte, dst []float32, rec *obs.Recorder) ([]float32, error) {
-	h, err := core.ParseHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	if h.Prec64 {
-		return nil, core.ErrCorrupt
-	}
-	p, err := core.ParamsForHeader(&h)
-	if err != nil {
-		return nil, err
-	}
-	// Chunk-table validation precedes the dst allocation so a corrupt
-	// header cannot size dst beyond what the buffer's own bytes back.
-	offsets, lengths, raws, payload, err := core.ChunkTable(buf, &h)
-	if err != nil {
-		return nil, err
-	}
-	n := h.Len()
-	if cap(dst) < n {
-		dst = make([]float32, n)
-	}
-	dst = dst[:n]
-	var firstErr atomic.Value
-	m.Grid(h.NumChunks, threadsPerBlock, func(sm int) func(*Block) {
-		s := newShared32(min(threadsPerBlock, m.MaxThreadsPerBlock))
-		track := smTrack(rec, sm)
-		return func(b *Block) {
-			c := b.Idx
-			lo := c * core.ChunkWords32
-			hi := min(lo+core.ChunkWords32, n)
-			pl := payload[offsets[c] : offsets[c]+lengths[c]]
-			t := rec.Now()
-			if err := decodeChunk32(b, &p, pl, raws[c], dst[lo:hi], s); err != nil {
-				firstErr.CompareAndSwap(nil, err)
-				return
-			}
-			outc := obs.OutcomeCompressed
-			if raws[c] {
-				outc = obs.OutcomeRaw
-			}
-			//pfpl:ignore intwidth c is a chunk index below NumChunks < 2^31 (uint32 table)
-			rec.StageSpanOutcome(obs.StageDecode, track, int32(c), t, outc, int64(lengths[c]), (int64(hi)-int64(lo))*4)
-		}
-	})
-	if err, ok := firstErr.Load().(error); ok {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// gridRange32 is the grid-wide min/max reduction the NOA quantizer needs:
-// per-block partials merged in block order, deterministic by construction.
-func gridRange32(m DeviceModel, src []float32) float64 {
-	if len(src) == 0 {
-		return 0
-	}
-	nBlocks := core.NumChunksFor(len(src), core.ChunkWords32)
-	type part struct {
-		mn, mx float32
-		ok     bool
-	}
-	parts := make([]part, nBlocks)
-	m.Grid(nBlocks, threadsPerBlock, func(int) func(*Block) {
-		return func(b *Block) {
-			lo := b.Idx * core.ChunkWords32
-			hi := min(lo+core.ChunkWords32, len(src))
-			var pt part
-			for _, v := range src[lo:hi] {
-				if v != v {
-					continue
-				}
-				if !pt.ok {
-					pt.mn, pt.mx, pt.ok = v, v, true
-					continue
-				}
-				if v < pt.mn {
-					pt.mn = v
-				}
-				if v > pt.mx {
-					pt.mx = v
-				}
-			}
-			parts[b.Idx] = pt
-		}
-	})
-	var acc part
-	for _, pt := range parts {
-		if !pt.ok {
-			continue
-		}
-		if !acc.ok {
-			acc = pt
-			continue
-		}
-		if pt.mn < acc.mn {
-			acc.mn = pt.mn
-		}
-		if pt.mx > acc.mx {
-			acc.mx = pt.mx
-		}
-	}
-	if !acc.ok {
-		return 0
-	}
-	return float64(acc.mx) - float64(acc.mn)
 }

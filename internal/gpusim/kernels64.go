@@ -2,7 +2,6 @@ package gpusim
 
 import (
 	"encoding/binary"
-	"sync/atomic"
 
 	"pfpl/internal/bits"
 	"pfpl/internal/core"
@@ -259,171 +258,4 @@ func decodeChunk64(b *Block, p *core.Params, payload []byte, raw bool, dst []flo
 		}
 	})
 	return nil
-}
-
-// Compress64 compresses double-precision data on the simulated device.
-func Compress64(m DeviceModel, src []float64, mode core.Mode, bound float64) ([]byte, error) {
-	return Compress64Traced(m, src, mode, bound, nil)
-}
-
-// Compress64Traced is Compress64 with per-block kernel-phase spans recorded
-// on rec (nil disables tracing at no cost).
-func Compress64Traced(m DeviceModel, src []float64, mode core.Mode, bound float64, rec *obs.Recorder) ([]byte, error) {
-	var rng float64
-	if mode == core.NOA {
-		rng = gridRange64(m, src)
-	}
-	p, err := core.NewParams(mode, bound, rng, true)
-	if err != nil {
-		return nil, err
-	}
-	h := core.Header{
-		Mode:      mode,
-		Prec64:    true,
-		Raw:       p.Raw,
-		Bound:     bound,
-		NOARange:  rng,
-		Count:     uint64(len(src)),
-		NumChunks: core.NumChunksFor(len(src), core.ChunkWords64),
-	}
-	out := core.AppendHeader(nil, &h)
-	payloadStart := len(out)
-	out = append(out, make([]byte, len(src)*8)...)
-
-	lb := NewLookback(h.NumChunks)
-	m.Grid(h.NumChunks, threadsPerBlock, func(sm int) func(*Block) {
-		s := newShared64(min(threadsPerBlock, m.MaxThreadsPerBlock))
-		s.rec = rec
-		s.track = smTrack(rec, sm)
-		return func(b *Block) {
-			c := b.Idx
-			lo := c * core.ChunkWords64
-			hi := min(lo+core.ChunkWords64, len(src))
-			//pfpl:ignore intwidth c is a chunk index below NumChunks < 2^31 (uint32 table)
-			s.unit = int32(c)
-			size, raw := encodeChunk64(b, &p, src[lo:hi], s)
-			core.PutChunkSize(out, c, size, raw)
-			t := rec.Now()
-			prefix := lb.ExclusivePrefix(c, int64(size))
-			t = rec.StageSpan(obs.StageCarryWait, s.track, s.unit, t)
-			//pfpl:ignore intwidth prefix is a byte offset into out, bounded by len(out)
-			copy(out[payloadStart+int(prefix):], s.out[:size])
-			rec.StageSpan(obs.StageEmit, s.track, s.unit, t)
-		}
-	})
-	//pfpl:ignore intwidth Total is the summed payload length, bounded by len(out)
-	end := payloadStart + int(lb.Total())
-	return out[:end], nil
-}
-
-// Decompress64 decodes a double-precision stream on the simulated device.
-func Decompress64(m DeviceModel, buf []byte, dst []float64) ([]float64, error) {
-	return Decompress64Traced(m, buf, dst, nil)
-}
-
-// Decompress64Traced is Decompress64 with per-block decode spans recorded
-// on rec (nil disables tracing at no cost).
-func Decompress64Traced(m DeviceModel, buf []byte, dst []float64, rec *obs.Recorder) ([]float64, error) {
-	h, err := core.ParseHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	if !h.Prec64 {
-		return nil, core.ErrCorrupt
-	}
-	p, err := core.ParamsForHeader(&h)
-	if err != nil {
-		return nil, err
-	}
-	// See Decompress32: chunk-table validation precedes the dst allocation.
-	offsets, lengths, raws, payload, err := core.ChunkTable(buf, &h)
-	if err != nil {
-		return nil, err
-	}
-	n := h.Len()
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	var firstErr atomic.Value
-	m.Grid(h.NumChunks, threadsPerBlock, func(sm int) func(*Block) {
-		s := newShared64(min(threadsPerBlock, m.MaxThreadsPerBlock))
-		track := smTrack(rec, sm)
-		return func(b *Block) {
-			c := b.Idx
-			lo := c * core.ChunkWords64
-			hi := min(lo+core.ChunkWords64, n)
-			pl := payload[offsets[c] : offsets[c]+lengths[c]]
-			t := rec.Now()
-			if err := decodeChunk64(b, &p, pl, raws[c], dst[lo:hi], s); err != nil {
-				firstErr.CompareAndSwap(nil, err)
-				return
-			}
-			outc := obs.OutcomeCompressed
-			if raws[c] {
-				outc = obs.OutcomeRaw
-			}
-			//pfpl:ignore intwidth c is a chunk index below NumChunks < 2^31 (uint32 table)
-			rec.StageSpanOutcome(obs.StageDecode, track, int32(c), t, outc, int64(lengths[c]), (int64(hi)-int64(lo))*8)
-		}
-	})
-	if err, ok := firstErr.Load().(error); ok {
-		return nil, err
-	}
-	return dst, nil
-}
-
-func gridRange64(m DeviceModel, src []float64) float64 {
-	if len(src) == 0 {
-		return 0
-	}
-	nBlocks := core.NumChunksFor(len(src), core.ChunkWords64)
-	type part struct {
-		mn, mx float64
-		ok     bool
-	}
-	parts := make([]part, nBlocks)
-	m.Grid(nBlocks, threadsPerBlock, func(int) func(*Block) {
-		return func(b *Block) {
-			lo := b.Idx * core.ChunkWords64
-			hi := min(lo+core.ChunkWords64, len(src))
-			var pt part
-			for _, v := range src[lo:hi] {
-				if v != v {
-					continue
-				}
-				if !pt.ok {
-					pt.mn, pt.mx, pt.ok = v, v, true
-					continue
-				}
-				if v < pt.mn {
-					pt.mn = v
-				}
-				if v > pt.mx {
-					pt.mx = v
-				}
-			}
-			parts[b.Idx] = pt
-		}
-	})
-	var acc part
-	for _, pt := range parts {
-		if !pt.ok {
-			continue
-		}
-		if !acc.ok {
-			acc = pt
-			continue
-		}
-		if pt.mn < acc.mn {
-			acc.mn = pt.mn
-		}
-		if pt.mx > acc.mx {
-			acc.mx = pt.mx
-		}
-	}
-	if !acc.ok {
-		return 0
-	}
-	return acc.mx - acc.mn
 }

@@ -1,11 +1,9 @@
 package server
 
 import (
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -403,14 +401,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	m := &batchMember{result: make(chan batchResult, 1), id: memberID, sampled: ev.isSampled()}
 	if p.double {
 		m.vals64 = make([]float64, len(body)/8)
-		for i := range m.vals64 {
-			m.vals64[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[i*8:]))
-		}
+		getLE(m.vals64, body)
 	} else {
 		m.vals32 = make([]float32, len(body)/4)
-		for i := range m.vals32 {
-			m.vals32[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[i*4:]))
-		}
+		getLE(m.vals32, body)
 	}
 	tAdd := time.Now()
 	s.batch.add(key, m, int64(len(body)))

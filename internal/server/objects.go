@@ -445,9 +445,7 @@ func (s *Server) decodeFrameRange(obj *object, frame []byte, localOff, localCnt 
 			return nil, err
 		}
 		out := make([]byte, 8*len(vals))
-		for i, v := range vals {
-			binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-		}
+		putLE(out, vals)
 		return out, nil
 	}
 	vals, err := pfpl.DecompressRange32(frame, int(localOff), int(localCnt))
@@ -455,9 +453,7 @@ func (s *Server) decodeFrameRange(obj *object, frame []byte, localOff, localCnt 
 		return nil, err
 	}
 	out := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(v))
-	}
+	putLE(out, vals)
 	return out, nil
 }
 

@@ -37,7 +37,6 @@ import (
 	"bufio"
 	"context"
 	"crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -506,9 +505,9 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	var bytesIn int64
 	var werr error
 	if p.double {
-		bytesIn, werr = compressBody64(ctx, r.Body, cw, opts, sopts)
+		bytesIn, werr = compressBody[float64](ctx, r.Body, cw, opts, sopts, pfpl.NewWriter64)
 	} else {
-		bytesIn, werr = compressBody32(ctx, r.Body, cw, opts, sopts)
+		bytesIn, werr = compressBody[float32](ctx, r.Body, cw, opts, sopts, pfpl.NewWriter32)
 	}
 	// The read phase is the whole body-processing loop: request reads and
 	// codec work interleave on the streamed path, so this is wall time of
@@ -560,14 +559,21 @@ func (s *Server) finishError(w http.ResponseWriter, op, mode string, streamed bo
 // of elements).
 var errBadBody = errors.New("server: request body is not a whole number of values")
 
-func compressBody32(ctx context.Context, body io.Reader, dst io.Writer, opts pfpl.Options, sopts pfpl.StreamOptions) (int64, error) {
-	wr, err := pfpl.NewWriter32(dst, opts, sopts)
+// compressBody streams a raw little-endian body of T values through the
+// stream writer newWriter makes on dst, one frame at a time.
+func compressBody[T float32 | float64, W interface {
+	Write([]T) error
+	Close() error
+}](ctx context.Context, body io.Reader, dst io.Writer, opts pfpl.Options, sopts pfpl.StreamOptions,
+	newWriter func(io.Writer, pfpl.Options, pfpl.StreamOptions) (W, error)) (int64, error) {
+	wr, err := newWriter(dst, opts, sopts)
 	if err != nil {
 		return 0, err
 	}
+	size := elemSize[T]()
 	in := ctxReader{ctx: ctx, r: body}
-	buf := make([]byte, sopts.FrameValues*4)
-	vals := make([]float32, sopts.FrameValues)
+	buf := make([]byte, sopts.FrameValues*size)
+	vals := make([]T, sopts.FrameValues)
 	var total int64
 	for {
 		n, rerr := io.ReadFull(in, buf)
@@ -578,54 +584,14 @@ func compressBody32(ctx context.Context, body io.Reader, dst io.Writer, opts pfp
 			wr.Close()
 			return total, rerr
 		}
-		if n%4 != 0 {
+		if n%size != 0 {
 			wr.Close()
 			return total, errBadBody
 		}
 		total += int64(n)
-		for i := 0; i < n/4; i++ {
-			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-		}
+		getLE(vals[:n/size], buf)
 		if n > 0 {
-			if werr := wr.Write(vals[:n/4]); werr != nil {
-				wr.Close()
-				return total, werr
-			}
-		}
-		if rerr == io.EOF {
-			return total, wr.Close()
-		}
-	}
-}
-
-func compressBody64(ctx context.Context, body io.Reader, dst io.Writer, opts pfpl.Options, sopts pfpl.StreamOptions) (int64, error) {
-	wr, err := pfpl.NewWriter64(dst, opts, sopts)
-	if err != nil {
-		return 0, err
-	}
-	in := ctxReader{ctx: ctx, r: body}
-	buf := make([]byte, sopts.FrameValues*8)
-	vals := make([]float64, sopts.FrameValues)
-	var total int64
-	for {
-		n, rerr := io.ReadFull(in, buf)
-		if rerr == io.ErrUnexpectedEOF {
-			rerr = io.EOF
-		}
-		if rerr != nil && rerr != io.EOF {
-			wr.Close()
-			return total, rerr
-		}
-		if n%8 != 0 {
-			wr.Close()
-			return total, errBadBody
-		}
-		total += int64(n)
-		for i := 0; i < n/8; i++ {
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-		if n > 0 {
-			if werr := wr.Write(vals[:n/8]); werr != nil {
+			if werr := wr.Write(vals[:n/size]); werr != nil {
 				wr.Close()
 				return total, werr
 			}
@@ -688,9 +654,9 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	var bytesOut int64
 	var derr error
 	if info.Double {
-		bytesOut, derr = decompressBody64(br, cw, opts, p.frame)
+		bytesOut, derr = decompressBody(pfpl.NewReader64(br, opts), cw, p.frame)
 	} else {
-		bytesOut, derr = decompressBody32(br, cw, opts, p.frame)
+		bytesOut, derr = decompressBody(pfpl.NewReader32(br, opts), cw, p.frame)
 	}
 	ev.phase(obs.StageRead, t0)
 	ev.setBytes(max(r.ContentLength, 0), bytesOut)
@@ -712,46 +678,21 @@ const (
 	peekBytes          = 64 << 10
 )
 
-func decompressBody32(src io.Reader, dst io.Writer, opts pfpl.Options, frame int) (int64, error) {
-	rd := pfpl.NewReader32(src, opts)
-	vals := make([]float32, frame)
-	out := make([]byte, len(vals)*4)
+// decompressBody streams the decoded values of a framed stream to dst as
+// raw little-endian bytes.
+func decompressBody[T float32 | float64](rd interface{ Read([]T) (int, error) }, dst io.Writer, frame int) (int64, error) {
+	size := elemSize[T]()
+	vals := make([]T, frame)
+	out := make([]byte, len(vals)*size)
 	var total int64
 	for {
 		n, err := rd.Read(vals)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(vals[i]))
-		}
+		putLE(out, vals[:n])
 		if n > 0 {
-			if _, werr := dst.Write(out[:n*4]); werr != nil {
+			if _, werr := dst.Write(out[:n*size]); werr != nil {
 				return total, werr
 			}
-			total += int64(n) * 4
-		}
-		if err == io.EOF {
-			return total, nil
-		}
-		if err != nil {
-			return total, err
-		}
-	}
-}
-
-func decompressBody64(src io.Reader, dst io.Writer, opts pfpl.Options, frame int) (int64, error) {
-	rd := pfpl.NewReader64(src, opts)
-	vals := make([]float64, frame)
-	out := make([]byte, len(vals)*8)
-	var total int64
-	for {
-		n, err := rd.Read(vals)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(vals[i]))
-		}
-		if n > 0 {
-			if _, werr := dst.Write(out[:n*8]); werr != nil {
-				return total, werr
-			}
-			total += int64(n) * 8
+			total += int64(n) * int64(size)
 		}
 		if err == io.EOF {
 			return total, nil

@@ -95,49 +95,46 @@ func (o *Options) device() Device {
 	if o.Device != nil {
 		return o.Device
 	}
-	return CPU(0)
+	return defaultDevice
 }
+
+// defaultDevice is CPU(0); its worker count resolves to GOMAXPROCS at each
+// call.
+var defaultDevice = CPU(0)
 
 // Compress32 compresses single-precision data.
 func Compress32(src []float32, opts Options) ([]byte, error) {
-	dev := opts.device()
-	var comp []byte
-	var err error
-	if td, ok := dev.(traceDevice); ok && opts.Trace != nil {
-		comp, err = td.compress32Traced(src, opts.Mode, opts.Bound, opts.Trace)
-	} else {
-		comp, err = dev.Compress32(src, opts.Mode, opts.Bound)
-	}
-	if err != nil || !opts.Checksum {
-		return comp, err
-	}
-	return core.AppendChecksum(comp)
+	return compress(src, opts, Device.Compress32)
 }
 
 // Decompress32 decodes a single-precision stream into dst (grown as
 // needed). Mode and Bound in opts are ignored; they come from the stream.
 // Checksummed streams are verified before decoding.
 func Decompress32(buf []byte, dst []float32, opts Options) ([]float32, error) {
-	buf, err := core.VerifyAndStripChecksum(buf)
-	if err != nil {
-		return nil, err
-	}
-	dev := opts.device()
-	if td, ok := dev.(traceDevice); ok && opts.Trace != nil {
-		return td.decompress32Traced(buf, dst, opts.Trace)
-	}
-	return dev.Decompress32(buf, dst)
+	return decompress(buf, dst, opts, Device.Decompress32)
 }
 
 // Compress64 compresses double-precision data.
 func Compress64(src []float64, opts Options) ([]byte, error) {
+	return compress(src, opts, Device.Compress64)
+}
+
+// Decompress64 decodes a double-precision stream.
+func Decompress64(buf []byte, dst []float64, opts Options) ([]float64, error) {
+	return decompress(buf, dst, opts, Device.Decompress64)
+}
+
+// compress runs one field on the selected device: through its executor for
+// a built-in device (traced when opts.Trace is set), through its own Device
+// method otherwise.
+func compress[T core.Float](src []T, opts Options, viaDevice func(Device, []T, Mode, float64) ([]byte, error)) ([]byte, error) {
 	dev := opts.device()
 	var comp []byte
 	var err error
-	if td, ok := dev.(traceDevice); ok && opts.Trace != nil {
-		comp, err = td.compress64Traced(src, opts.Mode, opts.Bound, opts.Trace)
+	if ex, ok := executorFor[T](dev); ok {
+		comp, err = core.Compress(ex, src, opts.Mode, opts.Bound, opts.Trace)
 	} else {
-		comp, err = dev.Compress64(src, opts.Mode, opts.Bound)
+		comp, err = viaDevice(dev, src, opts.Mode, opts.Bound)
 	}
 	if err != nil || !opts.Checksum {
 		return comp, err
@@ -145,17 +142,16 @@ func Compress64(src []float64, opts Options) ([]byte, error) {
 	return core.AppendChecksum(comp)
 }
 
-// Decompress64 decodes a double-precision stream.
-func Decompress64(buf []byte, dst []float64, opts Options) ([]float64, error) {
+func decompress[T core.Float](buf []byte, dst []T, opts Options, viaDevice func(Device, []byte, []T) ([]T, error)) ([]T, error) {
 	buf, err := core.VerifyAndStripChecksum(buf)
 	if err != nil {
 		return nil, err
 	}
 	dev := opts.device()
-	if td, ok := dev.(traceDevice); ok && opts.Trace != nil {
-		return td.decompress64Traced(buf, dst, opts.Trace)
+	if ex, ok := executorFor[T](dev); ok {
+		return core.Decompress(ex, buf, dst, opts.Trace)
 	}
-	return dev.Decompress64(buf, dst)
+	return viaDevice(dev, buf, dst)
 }
 
 // Info describes a compressed stream without decoding it.
@@ -189,55 +185,74 @@ func Stat(buf []byte) (Info, error) {
 	}, nil
 }
 
-// serialDevice runs everything on the calling goroutine; it is the
-// reference implementation.
-type serialDevice struct{}
-
-func (serialDevice) Name() string { return "PFPL-Serial" }
-
-func (serialDevice) Compress32(src []float32, mode Mode, bound float64) ([]byte, error) {
-	return core.CompressSerial32(src, mode, bound)
+// executor is the internal face of every built-in Device: one dispatch
+// core per precision (core.Executor), which the single-field and batch
+// entry points share and which always carries the Tracer. A custom Device
+// does not implement it and runs through its own methods, field by field.
+type executor interface {
+	executors() (core.Executor[float32], core.Executor[float64])
 }
 
-func (serialDevice) Decompress32(buf []byte, dst []float32) ([]float32, error) {
-	return core.DecompressSerial32(buf, dst)
+// executorFor returns the built-in executor behind dev for element type T.
+func executorFor[T core.Float](dev Device) (core.Executor[T], bool) {
+	e, ok := dev.(executor)
+	if !ok {
+		return nil, false
+	}
+	ex32, ex64 := e.executors()
+	var ex any = ex32
+	if core.IsPrec64[T]() {
+		ex = ex64
+	}
+	return ex.(core.Executor[T]), true
 }
 
-func (serialDevice) Compress64(src []float64, mode Mode, bound float64) ([]byte, error) {
-	return core.CompressSerial64(src, mode, bound)
+// builtin is every built-in Device: a name and its executors. The Device
+// methods are the untraced single-field calls.
+type builtin struct {
+	name string
+	ex32 core.Executor[float32]
+	ex64 core.Executor[float64]
 }
 
-func (serialDevice) Decompress64(buf []byte, dst []float64) ([]float64, error) {
-	return core.DecompressSerial64(buf, dst)
+func (d *builtin) executors() (core.Executor[float32], core.Executor[float64]) {
+	return d.ex32, d.ex64
 }
+
+// Name identifies the device in benchmark output.
+func (d *builtin) Name() string { return d.name }
+
+// Compress32 implements Device.
+func (d *builtin) Compress32(src []float32, mode Mode, bound float64) ([]byte, error) {
+	return core.Compress(d.ex32, src, mode, bound, nil)
+}
+
+// Decompress32 implements Device.
+func (d *builtin) Decompress32(buf []byte, dst []float32) ([]float32, error) {
+	return core.Decompress(d.ex32, buf, dst, nil)
+}
+
+// Compress64 implements Device.
+func (d *builtin) Compress64(src []float64, mode Mode, bound float64) ([]byte, error) {
+	return core.Compress(d.ex64, src, mode, bound, nil)
+}
+
+// Decompress64 implements Device.
+func (d *builtin) Decompress64(buf []byte, dst []float64) ([]float64, error) {
+	return core.Decompress(d.ex64, buf, dst, nil)
+}
+
+// serial runs everything on the calling goroutine; it is the reference
+// implementation.
+var serial = &builtin{name: "PFPL-Serial", ex32: core.Serial[float32]{}, ex64: core.Serial[float64]{}}
 
 // Serial returns the single-threaded reference device.
-func Serial() Device { return serialDevice{} }
+func Serial() Device { return serial }
 
-// cpuDevice is the parallel CPU executor (the paper's OpenMP analog).
-type cpuDevice struct{ workers int }
-
-func (d cpuDevice) Name() string { return "PFPL-CPU" }
-
-func (d cpuDevice) Compress32(src []float32, mode Mode, bound float64) ([]byte, error) {
-	return cpucomp.Compress32(src, mode, bound, d.workers)
-}
-
-func (d cpuDevice) Decompress32(buf []byte, dst []float32) ([]float32, error) {
-	return cpucomp.Decompress32(buf, dst, d.workers)
-}
-
-func (d cpuDevice) Compress64(src []float64, mode Mode, bound float64) ([]byte, error) {
-	return cpucomp.Compress64(src, mode, bound, d.workers)
-}
-
-func (d cpuDevice) Decompress64(buf []byte, dst []float64) ([]float64, error) {
-	return cpucomp.Decompress64(buf, dst, d.workers)
-}
-
-// CPU returns the parallel CPU device with the given worker count
-// (0 = one worker per logical CPU).
-func CPU(workers int) Device { return cpuDevice{workers: workers} }
+// CPU returns the parallel CPU device (the paper's OpenMP analog) with the
+// given worker count (0 = one worker per logical CPU). It is a CPUPool
+// without persistent workers: every call spawns its own.
+func CPU(workers int) Device { return newCPUPool("PFPL-CPU", cpucomp.SpawnPool(workers)) }
 
 // CPUPool is a Device backed by a persistent worker pool instead of
 // per-call goroutine spawns. It produces bytes identical to every other
@@ -248,41 +263,26 @@ func CPU(workers int) Device { return cpuDevice{workers: workers} }
 // Calls are safe to issue concurrently; when every pooled worker is busy, a
 // call runs on its own goroutine alone rather than queueing.
 type CPUPool struct {
+	builtin
 	pool *cpucomp.Pool
 }
 
 // NewCPUPool starts a pooled CPU device with the given worker count
 // (0 = one worker per logical CPU). Close releases the workers.
 func NewCPUPool(workers int) *CPUPool {
-	return &CPUPool{pool: cpucomp.NewPool(workers)}
+	return newCPUPool("PFPL-CPU-Pool", cpucomp.NewPool(workers))
 }
 
-// Name identifies the device in benchmark output.
-func (d *CPUPool) Name() string { return "PFPL-CPU-Pool" }
+func newCPUPool(name string, p *cpucomp.Pool) *CPUPool {
+	return &CPUPool{
+		builtin: builtin{name: name, ex32: cpucomp.Exec[float32]{Pool: p}, ex64: cpucomp.Exec[float64]{Pool: p}},
+		pool:    p,
+	}
+}
 
-// Workers returns the number of persistent pool workers.
+// Workers returns the number of pool workers.
 func (d *CPUPool) Workers() int { return d.pool.Size() }
 
 // Close stops the pool's workers; in-flight calls complete normally and
 // later calls degrade to single-threaded execution.
 func (d *CPUPool) Close() { d.pool.Close() }
-
-// Compress32 implements Device on the shared pool.
-func (d *CPUPool) Compress32(src []float32, mode Mode, bound float64) ([]byte, error) {
-	return d.pool.Compress32(src, mode, bound)
-}
-
-// Decompress32 implements Device on the shared pool.
-func (d *CPUPool) Decompress32(buf []byte, dst []float32) ([]float32, error) {
-	return d.pool.Decompress32(buf, dst)
-}
-
-// Compress64 implements Device on the shared pool.
-func (d *CPUPool) Compress64(src []float64, mode Mode, bound float64) ([]byte, error) {
-	return d.pool.Compress64(src, mode, bound)
-}
-
-// Decompress64 implements Device on the shared pool.
-func (d *CPUPool) Decompress64(buf []byte, dst []float64) ([]float64, error) {
-	return d.pool.Decompress64(buf, dst)
-}

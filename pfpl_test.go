@@ -203,3 +203,44 @@ func TestNOARangeRecordedInStream(t *testing.T) {
 		}
 	}
 }
+
+// TestDecompressReusesDstAllDevices pins dst reuse on every built-in
+// device: a dst with enough capacity must be decoded into in place, not
+// replaced by a fresh allocation (the field benchmarks reuse dst, so both
+// their throughput and their memory peak depend on it).
+func TestDecompressReusesDstAllDevices(t *testing.T) {
+	pool := NewCPUPool(2)
+	defer pool.Close()
+	devs := []Device{Serial(), CPU(1), CPU(4), pool, GPU(RTX4090)}
+	if CPU(4).Name() != "PFPL-CPU" || pool.Name() != "PFPL-CPU-Pool" {
+		t.Errorf("CPU device names %q, %q", CPU(4).Name(), pool.Name())
+	}
+	src32 := synth32(3*4096+17, 11)
+	src64 := synth64(3*2048+17, 12)
+	comp32, err := Compress32(src32, Options{Mode: ABS, Bound: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp64, err := Compress64(src64, Options{Mode: ABS, Bound: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dev := range devs {
+		dst32 := make([]float32, len(src32)+5)
+		got32, err := Decompress32(comp32, dst32, Options{Device: dev})
+		if err != nil {
+			t.Fatalf("%s f32: %v", dev.Name(), err)
+		}
+		if len(got32) != len(src32) || &got32[0] != &dst32[0] {
+			t.Errorf("%s f32: result does not share dst's backing array", dev.Name())
+		}
+		dst64 := make([]float64, len(src64))
+		got64, err := Decompress64(comp64, dst64, Options{Device: dev})
+		if err != nil {
+			t.Fatalf("%s f64: %v", dev.Name(), err)
+		}
+		if len(got64) != len(src64) || &got64[0] != &dst64[0] {
+			t.Errorf("%s f64: result does not share dst's backing array", dev.Name())
+		}
+	}
+}

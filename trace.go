@@ -12,8 +12,6 @@ import (
 	"io"
 
 	"pfpl/internal/core"
-	"pfpl/internal/cpucomp"
-	"pfpl/internal/gpusim"
 	"pfpl/internal/obs"
 )
 
@@ -66,78 +64,4 @@ func ChunkOutcomes(buf []byte) (chunks, rawChunks int, payloadBytes int64, err e
 		}
 	}
 	return h.NumChunks, rawChunks, payloadBytes, nil
-}
-
-// traceDevice is the optional Device extension: a device that can thread a
-// Tracer through its executor. All built-in devices implement it; a custom
-// Device that does not simply runs untraced.
-type traceDevice interface {
-	compress32Traced(src []float32, mode Mode, bound float64, rec *Tracer) ([]byte, error)
-	decompress32Traced(buf []byte, dst []float32, rec *Tracer) ([]float32, error)
-	compress64Traced(src []float64, mode Mode, bound float64, rec *Tracer) ([]byte, error)
-	decompress64Traced(buf []byte, dst []float64, rec *Tracer) ([]float64, error)
-}
-
-func (serialDevice) compress32Traced(src []float32, mode Mode, bound float64, rec *Tracer) ([]byte, error) {
-	return core.CompressSerial32Traced(src, mode, bound, rec)
-}
-
-func (serialDevice) decompress32Traced(buf []byte, dst []float32, rec *Tracer) ([]float32, error) {
-	return core.DecompressSerial32Traced(buf, dst, rec)
-}
-
-func (serialDevice) compress64Traced(src []float64, mode Mode, bound float64, rec *Tracer) ([]byte, error) {
-	return core.CompressSerial64Traced(src, mode, bound, rec)
-}
-
-func (serialDevice) decompress64Traced(buf []byte, dst []float64, rec *Tracer) ([]float64, error) {
-	return core.DecompressSerial64Traced(buf, dst, rec)
-}
-
-func (d cpuDevice) compress32Traced(src []float32, mode Mode, bound float64, rec *Tracer) ([]byte, error) {
-	return cpucomp.Compress32Traced(src, mode, bound, d.workers, rec)
-}
-
-func (d cpuDevice) decompress32Traced(buf []byte, dst []float32, rec *Tracer) ([]float32, error) {
-	return cpucomp.Decompress32Traced(buf, dst, d.workers, rec)
-}
-
-func (d cpuDevice) compress64Traced(src []float64, mode Mode, bound float64, rec *Tracer) ([]byte, error) {
-	return cpucomp.Compress64Traced(src, mode, bound, d.workers, rec)
-}
-
-func (d cpuDevice) decompress64Traced(buf []byte, dst []float64, rec *Tracer) ([]float64, error) {
-	return cpucomp.Decompress64Traced(buf, dst, d.workers, rec)
-}
-
-func (d *CPUPool) compress32Traced(src []float32, mode Mode, bound float64, rec *Tracer) ([]byte, error) {
-	return d.pool.Compress32Traced(src, mode, bound, rec)
-}
-
-func (d *CPUPool) decompress32Traced(buf []byte, dst []float32, rec *Tracer) ([]float32, error) {
-	return d.pool.Decompress32Traced(buf, dst, rec)
-}
-
-func (d *CPUPool) compress64Traced(src []float64, mode Mode, bound float64, rec *Tracer) ([]byte, error) {
-	return d.pool.Compress64Traced(src, mode, bound, rec)
-}
-
-func (d *CPUPool) decompress64Traced(buf []byte, dst []float64, rec *Tracer) ([]float64, error) {
-	return d.pool.Decompress64Traced(buf, dst, rec)
-}
-
-func (d gpuDevice) compress32Traced(src []float32, mode Mode, bound float64, rec *Tracer) ([]byte, error) {
-	return gpusim.Compress32Traced(d.model, src, mode, bound, rec)
-}
-
-func (d gpuDevice) decompress32Traced(buf []byte, dst []float32, rec *Tracer) ([]float32, error) {
-	return gpusim.Decompress32Traced(d.model, buf, dst, rec)
-}
-
-func (d gpuDevice) compress64Traced(src []float64, mode Mode, bound float64, rec *Tracer) ([]byte, error) {
-	return gpusim.Compress64Traced(d.model, src, mode, bound, rec)
-}
-
-func (d gpuDevice) decompress64Traced(buf []byte, dst []float64, rec *Tracer) ([]float64, error) {
-	return gpusim.Decompress64Traced(d.model, buf, dst, rec)
 }
