@@ -25,8 +25,8 @@ var (
 func GPU(model GPUModel) Device {
 	return &builtin{
 		name: "PFPL-CUDA(" + model.Name + ")",
-		ex32: gpusim.Exec32{Model: model},
-		ex64: gpusim.Exec64{Model: model},
+		ex32: gpusim.Exec[float32]{Model: model},
+		ex64: gpusim.Exec[float64]{Model: model},
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 // kernel entry point — a function whose doc comment carries //pfpl:kernel
 // — must have a same-name, same-signature counterpart in the package's
 // scalar reference (the sibling package at <pkg>/ref), because that
-// counterpart is what the differential tests and the PFPL_REF_KERNELS
-// runtime toggle dispatch to. A kernel added without its reference
-// silently shrinks the differential suite's coverage; this analyzer makes
-// the omission a vet failure instead.
+// counterpart is the test oracle the differential suite pins the kernel
+// against. A kernel added without its reference silently shrinks the
+// differential suite's coverage; this analyzer makes the omission a vet
+// failure instead.
 var RefParity = &analysis.Analyzer{
 	Name: "refparity",
 	Doc:  "require a same-signature reference counterpart for every //pfpl:kernel function",

@@ -69,7 +69,7 @@ func UnZigZag64(x uint64) int64 {
 //
 // This is PFPL's warp-granularity bit shuffle: on the GPU each warp of 32
 // threads performs the same exchange with warp shuffle instructions
-// (gpusim.TransposeWarpShuffle32 models it lane by lane). Here the five
+// (gpusim.TransposeWarpShuffle models it lane by lane). Here the five
 // butterfly steps are unrolled with constant shift counts and masks so each
 // block swap compiles to straight shift/mask arithmetic with no
 // loop-carried mask updates; internal/core/ref.Transpose32 keeps the

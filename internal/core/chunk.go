@@ -25,7 +25,7 @@ type Scratch32 struct {
 	words [ChunkWords32]uint32
 	bytes [ChunkBytes]byte
 	out   [MaxChunkPayload]byte
-	bms   bitmapScratch
+	zs    ZeroElimScratch
 
 	Rec   *obs.Recorder
 	Track int32
@@ -37,7 +37,7 @@ type Scratch64 struct {
 	words [ChunkWords64]uint64
 	bytes [ChunkBytes]byte
 	out   [MaxChunkPayload]byte
-	bms   bitmapScratch
+	zs    ZeroElimScratch
 
 	Rec   *obs.Recorder
 	Track int32
@@ -49,9 +49,6 @@ func PaddedWords32(n int) int { return (n + 31) &^ 31 }
 
 // PaddedWords64 returns n rounded up to the 64-word shuffle group.
 func PaddedWords64(n int) int { return (n + 63) &^ 63 }
-
-func paddedWords32(n int) int { return PaddedWords32(n) }
-func paddedWords64(n int) int { return PaddedWords64(n) }
 
 // EncodeChunk32 compresses src (1..ChunkWords32 values) through the fused
 // quantize + delta/negabinary + bit-shuffle + zero-elimination pipeline.
@@ -69,7 +66,7 @@ func EncodeChunk32(p *Params, src []float32, s *Scratch32) (payload []byte, raw 
 	}
 	t = rec.StageSpan(obs.StageQuantize, s.Track, s.Unit, t)
 	DeltaNegaForward32(s.words[:n])
-	padded := paddedWords32(n)
+	padded := PaddedWords32(n)
 	for i := n; i < padded; i++ {
 		s.words[i] = 0
 	}
@@ -79,7 +76,7 @@ func EncodeChunk32(p *Params, src []float32, s *Scratch32) (payload []byte, raw 
 	for i := 0; i < padded; i++ {
 		binary.LittleEndian.PutUint32(s.bytes[i*4:], s.words[i])
 	}
-	payload = zeroElimEncodeScratch(s.bytes[:padded*4], s.out[:0], &s.bms)
+	payload = ZeroElimEncodeScratch(s.bytes[:padded*4], s.out[:0], &s.zs)
 	if len(payload) >= n*4 {
 		// Incompressible: emit the original chunk data and flag it.
 		for i, v := range src {
@@ -109,8 +106,8 @@ func DecodeChunk32(p *Params, payload []byte, raw bool, dst []float32, s *Scratc
 		rec.StageSpanOutcome(obs.StageDecode, s.Track, s.Unit, t, obs.OutcomeRaw, int64(len(payload)), int64(n)*4)
 		return nil
 	}
-	padded := paddedWords32(n)
-	used, err := zeroElimDecodeScratch(payload, s.bytes[:padded*4], &s.bms)
+	padded := PaddedWords32(n)
+	used, err := ZeroElimDecodeScratch(payload, s.bytes[:padded*4], &s.zs)
 	if err != nil {
 		return err
 	}
@@ -142,7 +139,7 @@ func EncodeChunk64(p *Params, src []float64, s *Scratch64) (payload []byte, raw 
 	}
 	t = rec.StageSpan(obs.StageQuantize, s.Track, s.Unit, t)
 	DeltaNegaForward64(s.words[:n])
-	padded := paddedWords64(n)
+	padded := PaddedWords64(n)
 	for i := n; i < padded; i++ {
 		s.words[i] = 0
 	}
@@ -152,7 +149,7 @@ func EncodeChunk64(p *Params, src []float64, s *Scratch64) (payload []byte, raw 
 	for i := 0; i < padded; i++ {
 		binary.LittleEndian.PutUint64(s.bytes[i*8:], s.words[i])
 	}
-	payload = zeroElimEncodeScratch(s.bytes[:padded*8], s.out[:0], &s.bms)
+	payload = ZeroElimEncodeScratch(s.bytes[:padded*8], s.out[:0], &s.zs)
 	if len(payload) >= n*8 {
 		for i, v := range src {
 			binary.LittleEndian.PutUint64(s.out[i*8:], f64bits(v))
@@ -181,8 +178,8 @@ func DecodeChunk64(p *Params, payload []byte, raw bool, dst []float64, s *Scratc
 		rec.StageSpanOutcome(obs.StageDecode, s.Track, s.Unit, t, obs.OutcomeRaw, int64(len(payload)), int64(n)*8)
 		return nil
 	}
-	padded := paddedWords64(n)
-	used, err := zeroElimDecodeScratch(payload, s.bytes[:padded*8], &s.bms)
+	padded := PaddedWords64(n)
+	used, err := ZeroElimDecodeScratch(payload, s.bytes[:padded*8], &s.zs)
 	if err != nil {
 		return err
 	}

@@ -97,7 +97,7 @@ func FuzzDeltaNegaRoundtrip(f *testing.F) {
 		}
 		fast32 := append([]uint32(nil), w32...)
 		slow32 := append([]uint32(nil), w32...)
-		deltaNegaForward32(fast32)
+		DeltaNegaForward32(fast32)
 		ref.DeltaNegaForward32(slow32)
 		for i := range fast32 {
 			if fast32[i] != slow32[i] {
@@ -105,7 +105,7 @@ func FuzzDeltaNegaRoundtrip(f *testing.F) {
 			}
 		}
 		// Inverse each with the opposite implementation.
-		deltaNegaInverse32(slow32)
+		DeltaNegaInverse32(slow32)
 		ref.DeltaNegaInverse32(fast32)
 		for i := range w32 {
 			if fast32[i] != w32[i] || slow32[i] != w32[i] {
@@ -121,14 +121,14 @@ func FuzzDeltaNegaRoundtrip(f *testing.F) {
 		}
 		fast64 := append([]uint64(nil), w64...)
 		slow64 := append([]uint64(nil), w64...)
-		deltaNegaForward64(fast64)
+		DeltaNegaForward64(fast64)
 		ref.DeltaNegaForward64(slow64)
 		for i := range fast64 {
 			if fast64[i] != slow64[i] {
 				t.Fatalf("forward64 diverged at %d: %#x vs %#x", i, fast64[i], slow64[i])
 			}
 		}
-		deltaNegaInverse64(slow64)
+		DeltaNegaInverse64(slow64)
 		ref.DeltaNegaInverse64(fast64)
 		for i := range w64 {
 			if fast64[i] != w64[i] || slow64[i] != w64[i] {

@@ -106,9 +106,6 @@ func TestDecodeChunk64NoTraceZeroAllocs(t *testing.T) {
 // The word-parallel zero-elimination scratch codecs are on the traced-off
 // hot path of every executor; neither direction may allocate.
 func TestZeroElimScratchNoTraceZeroAllocs(t *testing.T) {
-	if !FastKernels() {
-		t.Skip("reference kernels forced via environment; only the fast path is allocation-free")
-	}
 	data := make([]byte, ChunkBytes)
 	for i := 0; i < len(data); i += 7 {
 		data[i] = byte(i)

@@ -47,7 +47,7 @@ func (p *Params) encodeAbs32(v float32) uint32 {
 		return bits
 	}
 	v64 := float64(v)
-	b := v64 * p.scale
+	b := float64(v64 * p.scale)
 	if !(b < f32MaxBin+0.5 && b > -(f32MaxBin+0.5)) {
 		// Bin number too large for the denormal range (or b overflowed).
 		return bits
@@ -105,13 +105,13 @@ func (p *Params) encodeRel32(v float32) uint32 {
 	if neg {
 		mag = -mag
 	}
-	b := p.log2(mag) * p.invLogBin
+	b := float64(p.log2(mag) * p.invLogBin)
 	if !(b < f32RelBin+0.5 && b > -(f32RelBin+0.5)) {
 		return bits ^ f32RelXor
 	}
 	bin := portmath.RoundToInt(b)
 	if !p.SkipVerify {
-		rmag := float32(p.exp2(float64(bin) * p.logBin))
+		rmag := float32(p.exp2(float64(float64(bin) * p.logBin)))
 		r64 := float64(rmag)
 		// Verify with the exact arithmetic any auditor would use: the
 		// relative error |v-r|/|v| must not exceed eps, and r must keep the
@@ -139,7 +139,7 @@ func (p *Params) decodeRel32(w uint32) float32 {
 			return math.Float32frombits(f32SignBit)
 		}
 		bin, neg := relUnpayload(payload)
-		rmag := float32(p.exp2(float64(bin) * p.logBin))
+		rmag := float32(p.exp2(float64(float64(bin) * p.logBin)))
 		if neg {
 			return -rmag
 		}

@@ -35,13 +35,13 @@ func (p *Params) encodeAbs64(v float64) uint64 {
 	if bits&f64ExpMask == f64ExpMask {
 		return bits
 	}
-	b := v * p.scale
+	b := float64(v * p.scale)
 	if !(b < f64MaxBin+0.5 && b > -(f64MaxBin+0.5)) {
 		return bits
 	}
 	bin := portmath.RoundToInt(b)
 	if !p.SkipVerify {
-		r := float64(bin) * p.twoEps
+		r := float64(float64(bin) * p.twoEps)
 		diff := v - r
 		if !(diff <= p.absBound && diff >= -p.absBound) {
 			return bits
@@ -61,7 +61,7 @@ func (p *Params) decodeAbs64(w uint64) float64 {
 	if w&f64SignBit != 0 {
 		bin = -bin
 	}
-	return float64(bin) * p.twoEps
+	return float64(float64(bin) * p.twoEps)
 }
 
 func (p *Params) encodeRel64(v float64) uint64 {
@@ -83,13 +83,13 @@ func (p *Params) encodeRel64(v float64) uint64 {
 	if neg {
 		mag = -mag
 	}
-	b := p.log2(mag) * p.invLogBin
+	b := float64(p.log2(mag) * p.invLogBin)
 	if !(b < f64RelBin+0.5 && b > -(f64RelBin+0.5)) {
 		return bits ^ f64RelXor
 	}
 	bin := portmath.RoundToInt(b)
 	if !p.SkipVerify {
-		rmag := p.exp2(float64(bin) * p.logBin)
+		rmag := p.exp2(float64(float64(bin) * p.logBin))
 		// Verify with the exact arithmetic any auditor would use (see the
 		// single-precision encoder for rationale).
 		diff := mag - rmag
@@ -114,7 +114,7 @@ func (p *Params) decodeRel64(w uint64) float64 {
 			return math.Float64frombits(f64SignBit)
 		}
 		bin, neg := relUnpayload(payload)
-		rmag := p.exp2(float64(bin) * p.logBin)
+		rmag := p.exp2(float64(float64(bin) * p.logBin))
 		if neg {
 			return -rmag
 		}

@@ -4,16 +4,14 @@
 //
 // These are the seed implementations that walked values, bits, and bitmap
 // bytes one at a time. They were moved here verbatim when internal/core grew
-// word-parallel rewrites of every hot loop, and they now serve three roles:
+// word-parallel rewrites of every hot loop, and they now serve two roles:
 //
-//  1. Executable specification: every fast kernel in internal/core must be
-//     bit-identical to its counterpart here, pinned by the differential
-//     suite (internal/core/ref_test.go) and the FuzzZeroElimFastPath /
-//     FuzzDeltaNegaRoundtrip cross-check fuzzers.
-//  2. Runtime fallback: setting PFPL_REF_KERNELS=1 (or
-//     core.SetFastKernels(false)) routes the pipeline through this package,
-//     isolating any suspected fast-path miscompare in production.
-//  3. Readable documentation of the format: the scalar loops state the
+//  1. Executable specification and test oracle: every fast kernel in
+//     internal/core must be bit-identical to its counterpart here, pinned by
+//     the differential suite (internal/core/ref_test.go) and the
+//     FuzzZeroElimFastPath / FuzzDeltaNegaRoundtrip cross-check fuzzers.
+//     Production code never calls this package.
+//  2. Readable documentation of the format: the scalar loops state the
 //     stage semantics (paper §III.D) without bit tricks in the way.
 //
 // Nothing here is performance-sensitive; clarity wins every trade.

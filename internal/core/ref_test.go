@@ -173,13 +173,13 @@ func TestDifferentialDeltaNega32(t *testing.T) {
 		for name, data := range wordPatterns32(n, r) {
 			fast := append([]uint32(nil), data...)
 			slow := append([]uint32(nil), data...)
-			deltaNegaForward32(fast)
+			DeltaNegaForward32(fast)
 			ref.DeltaNegaForward32(slow)
 			if !equalU32(fast, slow) {
 				t.Fatalf("n=%d %s: forward fast != ref", n, name)
 			}
 			// Cross-inverse both directions, each must restore the input.
-			deltaNegaInverse32(fast)
+			DeltaNegaInverse32(fast)
 			ref.DeltaNegaInverse32(slow)
 			if !equalU32(fast, data) || !equalU32(slow, data) {
 				t.Fatalf("n=%d %s: inverse did not roundtrip", n, name)
@@ -194,12 +194,12 @@ func TestDifferentialDeltaNega64(t *testing.T) {
 		for name, data := range wordPatterns64(n, r) {
 			fast := append([]uint64(nil), data...)
 			slow := append([]uint64(nil), data...)
-			deltaNegaForward64(fast)
+			DeltaNegaForward64(fast)
 			ref.DeltaNegaForward64(slow)
 			if !equalU64(fast, slow) {
 				t.Fatalf("n=%d %s: forward fast != ref", n, name)
 			}
-			deltaNegaInverse64(fast)
+			DeltaNegaInverse64(fast)
 			ref.DeltaNegaInverse64(slow)
 			if !equalU64(fast, data) || !equalU64(slow, data) {
 				t.Fatalf("n=%d %s: inverse did not roundtrip", n, name)
@@ -325,14 +325,14 @@ func TestDifferentialAppendSelected(t *testing.T) {
 	for _, n := range edgeLens {
 		for name, data := range bytePatterns(n, r) {
 			// Nonzero-byte selection against the level-1 bitmap.
-			bm1 := buildZeroBitmap(data)
+			bm1 := ref.BuildZeroBitmap(data)
 			fast := appendSelected(nil, data, bm1)
 			slow := ref.AppendNonZero(nil, data, bm1)
 			if !bytes.Equal(fast, slow) {
 				t.Fatalf("n=%d %s: nonzero selection fast != ref", n, name)
 			}
 			// Non-repeat selection against the level-up repeat bitmap.
-			bm2 := buildRepeatBitmap(data)
+			bm2 := ref.BuildRepeatBitmap(data)
 			fast = appendSelected(nil, data, bm2)
 			slow = ref.AppendNonRepeat(nil, data)
 			if !bytes.Equal(fast, slow) {
@@ -346,7 +346,7 @@ func TestDifferentialExpand(t *testing.T) {
 	r := &diffRNG{state: 0xE59A}
 	for _, n := range edgeLens {
 		for name, data := range bytePatterns(n, r) {
-			bm1 := buildZeroBitmap(data)
+			bm1 := ref.BuildZeroBitmap(data)
 			nz := appendSelected(nil, data, bm1)
 			fastDst := make([]byte, n)
 			slowDst := make([]byte, n)
@@ -368,7 +368,7 @@ func TestDifferentialExpand(t *testing.T) {
 				}
 			}
 
-			bm2 := buildRepeatBitmap(data)
+			bm2 := ref.BuildRepeatBitmap(data)
 			nr := appendSelected(nil, data, bm2)
 			fu, ferr = expandRepeat(bm2, nr, fastDst)
 			su, serr = ref.ExpandRepeat(bm2, nr, slowDst)
@@ -457,61 +457,163 @@ func TestDifferentialScratchVariants(t *testing.T) {
 	}
 }
 
-// TestDifferentialKernelDispatch drives whole chunks through both kernel
-// selections and requires byte-identical payloads — the runtime-fallback
-// contract PFPL_REF_KERNELS relies on.
-func TestDifferentialKernelDispatch(t *testing.T) {
-	if !FastKernels() {
-		t.Skip("reference kernels forced via environment")
+// refCodec assembles a chunk codec from the quantizer and the scalar
+// reference stages of internal/core/ref: quantize, ref delta+negabinary,
+// zero padding to the shuffle group, ref bit shuffle, little-endian pack,
+// ref zero elimination, and the raw fallback of the original IEEE bits.
+type refCodec[T Float, W uint32 | uint64] struct {
+	width            int // word bits: also the shuffle group in words
+	encode           func(p *Params, v T) W
+	decode           func(p *Params, w W) T
+	ieee             func(v T) W
+	fromIEEE         func(w W) T
+	forward, inverse func([]W)
+	shuffle          func([]W)
+}
+
+var refCodec32 = refCodec[float32, uint32]{32, (*Params).EncodeValue32, (*Params).DecodeValue32,
+	math.Float32bits, math.Float32frombits, ref.DeltaNegaForward32, ref.DeltaNegaInverse32, ref.BitShuffle32}
+
+var refCodec64 = refCodec[float64, uint64]{64, (*Params).EncodeValue64, (*Params).DecodeValue64,
+	math.Float64bits, math.Float64frombits, ref.DeltaNegaForward64, ref.DeltaNegaInverse64, ref.BitShuffle64}
+
+func (c refCodec[T, W]) pack(words []W) []byte {
+	out := make([]byte, 0, len(words)*c.width/8)
+	for _, w := range words {
+		for k := 0; k < c.width; k += 8 {
+			out = append(out, byte(w>>k))
+		}
 	}
-	p, err := NewParams(ABS, 1e-3, 0, false)
-	if err != nil {
-		t.Fatal(err)
+	return out
+}
+
+func (c refCodec[T, W]) unpack(b []byte) []W {
+	words := make([]W, len(b)*8/c.width)
+	for i := range words {
+		for k := 0; k < c.width; k += 8 {
+			words[i] |= W(b[i*c.width/8+k/8]) << k
+		}
 	}
-	srcs := map[string][]float32{}
-	smooth := make([]float32, ChunkWords32)
+	return words
+}
+
+func (c refCodec[T, W]) encodeChunk(p *Params, src []T) ([]byte, bool) {
+	padded := (len(src) + c.width - 1) / c.width * c.width
+	words := make([]W, len(src), padded)
+	for i, v := range src {
+		words[i] = c.encode(p, v)
+	}
+	c.forward(words)
+	words = words[:padded]
+	c.shuffle(words)
+	payload := ref.ZeroElimEncode(c.pack(words), nil)
+	if len(payload) < len(src)*c.width/8 {
+		return payload, false
+	}
+	for i, v := range src {
+		words[i] = c.ieee(v)
+	}
+	return c.pack(words[:len(src)]), true
+}
+
+func (c refCodec[T, W]) decodeChunk(p *Params, payload []byte, raw bool, n int) ([]T, error) {
+	dst := make([]T, n)
+	if raw {
+		for i, w := range c.unpack(payload) {
+			dst[i] = c.fromIEEE(w)
+		}
+		return dst, nil
+	}
+	padded := (n + c.width - 1) / c.width * c.width
+	data := make([]byte, padded*c.width/8)
+	used, err := ref.ZeroElimDecode(payload, data)
+	if err != nil || used != len(payload) {
+		return nil, ErrCorrupt
+	}
+	words := c.unpack(data)
+	c.shuffle(words)
+	c.inverse(words[:n])
+	for i := range dst {
+		dst[i] = c.decode(p, words[i])
+	}
+	return dst, nil
+}
+
+// chunkSources are whole-chunk and partial-chunk inputs covering smooth
+// data, special values and random bit patterns, which are incompressible
+// and take the raw fallback.
+func chunkSources[T Float](full int, special func(i int) T, fromBits func(uint64) T) map[string][]T {
+	r := &diffRNG{state: 0xC0DEC}
+	smooth := make([]T, full)
+	noise := make([]T, full)
+	specials := make([]T, 777)
 	for i := range smooth {
-		smooth[i] = float32(math.Sin(float64(i) * 0.01))
+		smooth[i] = T(math.Sin(float64(i) * 0.01))
+		noise[i] = fromBits(r.next())
 	}
-	srcs["smooth"] = smooth
-	specials := make([]float32, 777)
 	for i := range specials {
-		specials[i] = math.Float32frombits(specialWords32[i%len(specialWords32)])
+		specials[i] = special(i)
 	}
-	srcs["specials"] = specials
+	return map[string][]T{"smooth": smooth, "smooth-partial": smooth[:full-1000+3], "noise": noise, "specials": specials}
+}
 
-	for name, src := range srcs {
-		var s Scratch32
-		fastPayload, fastRaw := EncodeChunk32(&p, src, &s)
-		fastCopy := append([]byte(nil), fastPayload...)
-
-		prev := SetFastKernels(false)
-		var sr Scratch32
-		refPayload, refRaw := EncodeChunk32(&p, src, &sr)
-		refCopy := append([]byte(nil), refPayload...)
-		// Decode the fast payload with the reference kernels selected.
-		dst := make([]float32, len(src))
-		decErr := DecodeChunk32(&p, fastCopy, fastRaw, dst, &sr)
-		SetFastKernels(prev)
-
-		if decErr != nil {
-			t.Fatalf("%s: reference decode of fast payload failed: %v", name, decErr)
+// checkChunkCodec compares the production chunk codec of one precision
+// byte-for-byte with the reference codec and cross-decodes both payloads.
+func checkChunkCodec[T Float, W uint32 | uint64](t *testing.T, c refCodec[T, W], srcs map[string][]T,
+	encode func(p *Params, src []T) ([]byte, bool), decode func(p *Params, payload []byte, raw bool, dst []T) error) {
+	t.Helper()
+	for _, mode := range []Mode{ABS, REL, NOA} {
+		p, err := NewParams(mode, 1e-3, 2, c.width == 64)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if fastRaw != refRaw || !bytes.Equal(fastCopy, refCopy) {
-			t.Fatalf("%s: fast and reference chunk payloads differ (raw %v/%v, %d/%d bytes)",
-				name, fastRaw, refRaw, len(fastCopy), len(refCopy))
-		}
-		// And the fast kernels must decode the reference payload.
-		dst2 := make([]float32, len(src))
-		if err := DecodeChunk32(&p, refCopy, refRaw, dst2, &s); err != nil {
-			t.Fatalf("%s: fast decode of reference payload failed: %v", name, err)
-		}
-		for i := range dst {
-			if f32bits(dst[i]) != f32bits(dst2[i]) {
-				t.Fatalf("%s: cross-decoded values diverge at %d", name, i)
+		for name, src := range srcs {
+			label := mode.String() + "/" + name
+			payload, raw := encode(&p, src)
+			payload = append([]byte(nil), payload...)
+			refPayload, refRaw := c.encodeChunk(&p, src)
+			if raw != refRaw || !bytes.Equal(payload, refPayload) {
+				t.Fatalf("%s: chunk payload differs from the reference codec (raw %v/%v, %d/%d bytes)",
+					label, raw, refRaw, len(payload), len(refPayload))
+			}
+			fromRef := make([]T, len(src))
+			if err := decode(&p, refPayload, refRaw, fromRef); err != nil {
+				t.Fatalf("%s: decode of reference payload failed: %v", label, err)
+			}
+			fromProd, err := c.decodeChunk(&p, payload, raw, len(src))
+			if err != nil {
+				t.Fatalf("%s: reference decode of payload failed: %v", label, err)
+			}
+			for i := range fromRef {
+				if c.ieee(fromRef[i]) != c.ieee(fromProd[i]) {
+					t.Fatalf("%s: cross-decoded values diverge at %d", label, i)
+				}
 			}
 		}
 	}
+}
+
+// TestDifferentialKernelDispatch drives whole chunks of both precisions
+// through EncodeChunk32/64 and through a chunk codec assembled from the
+// scalar reference stages, and requires byte-identical payloads and
+// bit-identical cross-decoded values.
+func TestDifferentialKernelDispatch(t *testing.T) {
+	var s32 Scratch32
+	checkChunkCodec(t, refCodec32,
+		chunkSources(ChunkWords32, func(i int) float32 { return math.Float32frombits(specialWords32[i%len(specialWords32)]) },
+			func(u uint64) float32 { return math.Float32frombits(uint32(u)) }),
+		func(p *Params, src []float32) ([]byte, bool) { return EncodeChunk32(p, src, &s32) },
+		func(p *Params, payload []byte, raw bool, dst []float32) error {
+			return DecodeChunk32(p, payload, raw, dst, &s32)
+		})
+	var s64 Scratch64
+	checkChunkCodec(t, refCodec64,
+		chunkSources(ChunkWords64, func(i int) float64 { return math.Float64frombits(specialWords64[i%len(specialWords64)]) },
+			math.Float64frombits),
+		func(p *Params, src []float64) ([]byte, bool) { return EncodeChunk64(p, src, &s64) },
+		func(p *Params, payload []byte, raw bool, dst []float64) error {
+			return DecodeChunk64(p, payload, raw, dst, &s64)
+		})
 }
 
 // TestDifferentialRandomized is the quick-check style sweep: deterministic
@@ -556,23 +658,23 @@ func TestDifferentialRandomized(t *testing.T) {
 		}
 		f32s := append([]uint32(nil), w32...)
 		s32s := append([]uint32(nil), w32...)
-		deltaNegaForward32(f32s)
+		DeltaNegaForward32(f32s)
 		ref.DeltaNegaForward32(s32s)
 		if !equalU32(f32s, s32s) {
 			t.Fatalf("trial %d: delta32 diverged", trial)
 		}
-		deltaNegaInverse32(f32s)
+		DeltaNegaInverse32(f32s)
 		if !equalU32(f32s, w32) {
 			t.Fatalf("trial %d: delta32 roundtrip failed", trial)
 		}
 		f64s := append([]uint64(nil), w64...)
 		s64s := append([]uint64(nil), w64...)
-		deltaNegaForward64(f64s)
+		DeltaNegaForward64(f64s)
 		ref.DeltaNegaForward64(s64s)
 		if !equalU64(f64s, s64s) {
 			t.Fatalf("trial %d: delta64 diverged", trial)
 		}
-		deltaNegaInverse64(f64s)
+		DeltaNegaInverse64(f64s)
 		if !equalU64(f64s, w64) {
 			t.Fatalf("trial %d: delta64 roundtrip failed", trial)
 		}

@@ -3,37 +3,16 @@ package core
 import (
 	"encoding/binary"
 	mbits "math/bits"
-	"os"
-	"sync/atomic"
 
 	"pfpl/internal/bits"
 	"pfpl/internal/core/ref"
 )
 
-// The lossless stages below each exist twice: the word-parallel fast path in
-// this file and the scalar reference in internal/core/ref. Both produce
-// bit-identical output — the differential suite (ref_test.go) and the
-// FuzzZeroElimFastPath / FuzzDeltaNegaRoundtrip fuzzers pin that equality —
-// and the selection happens at runtime so a suspected fast-path bug can be
-// isolated in the field without a rebuild.
-//
-// fastKernels defaults to true; PFPL_REF_KERNELS=1 in the environment (or
-// SetFastKernels) routes every stage through the reference.
-var fastKernels atomic.Bool
-
-func init() {
-	//pfpl:ignore determinism PFPL_REF_KERNELS toggles between bit-identical kernel implementations
-	fastKernels.Store(os.Getenv("PFPL_REF_KERNELS") == "")
-}
-
-// SetFastKernels enables or disables the word-parallel kernels at runtime,
-// returning the previous setting. The toggle is safe to flip concurrently,
-// but a compression in flight may mix implementations across stages — the
-// output is identical either way, so that is benign.
-func SetFastKernels(on bool) bool { return fastKernels.Swap(on) }
-
-// FastKernels reports whether the word-parallel kernels are selected.
-func FastKernels() bool { return fastKernels.Load() }
+// Each lossless stage below has one implementation: the word-parallel fast
+// path. The scalar seed loops live on in internal/core/ref as the
+// executable specification and test oracle; the differential suite
+// (ref_test.go) and the FuzzZeroElimFastPath / FuzzDeltaNegaRoundtrip
+// fuzzers pin the two bit-identical.
 
 // Stage 1: difference coding with negabinary residuals (paper §III.D,
 // Fig. 3). Each word is replaced by itself minus its predecessor (wrapping
@@ -41,25 +20,15 @@ func FastKernels() bool { return fastKernels.Load() }
 // base -2 so that both small positive and small negative residuals have
 // many leading zero bits.
 
-// DeltaNegaForward32 transforms a in place.
-//
-//pfpl:kernel
-func DeltaNegaForward32(a []uint32) {
-	if !fastKernels.Load() {
-		ref.DeltaNegaForward32(a)
-		return
-	}
-	deltaNegaForward32(a)
-}
-
-// deltaNegaForward32 is the word-parallel fast path. The forward transform
-// has no loop-carried dependence — residual i needs only the loaded words i
-// and i-1 — so an eight-wide stride lets all eight subtract+negabinary
+// DeltaNegaForward32 transforms a in place. The forward transform has no
+// loop-carried dependence — residual i needs only the loaded words i and
+// i-1 — so an eight-wide stride lets all eight subtract+negabinary
 // conversions retire independently instead of serializing on the previous
 // iteration's store.
 //
+//pfpl:kernel
 //pfpl:hotpath
-func deltaNegaForward32(a []uint32) {
+func DeltaNegaForward32(a []uint32) {
 	prev := uint32(0)
 	i := 0
 	for ; i+8 <= len(a); i += 8 {
@@ -82,24 +51,14 @@ func deltaNegaForward32(a []uint32) {
 	}
 }
 
-// DeltaNegaInverse32 inverts DeltaNegaForward32 in place.
+// DeltaNegaInverse32 inverts DeltaNegaForward32 in place. The inverse is a
+// prefix sum, so the running total is inherently serial — but the four
+// negabinary decodes and the partial-sum tree are not, leaving one add on
+// the carried chain per four elements instead of four.
 //
 //pfpl:kernel
-func DeltaNegaInverse32(a []uint32) {
-	if !fastKernels.Load() {
-		ref.DeltaNegaInverse32(a)
-		return
-	}
-	deltaNegaInverse32(a)
-}
-
-// deltaNegaInverse32 is the fast path. The inverse is a prefix sum, so the
-// running total is inherently serial — but the four negabinary decodes and
-// the partial-sum tree are not, leaving one add on the carried chain per
-// four elements instead of four.
-//
 //pfpl:hotpath
-func deltaNegaInverse32(a []uint32) {
+func DeltaNegaInverse32(a []uint32) {
 	prev := uint32(0)
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
@@ -123,16 +82,8 @@ func deltaNegaInverse32(a []uint32) {
 // DeltaNegaForward64 transforms a in place (64-bit word size).
 //
 //pfpl:kernel
-func DeltaNegaForward64(a []uint64) {
-	if !fastKernels.Load() {
-		ref.DeltaNegaForward64(a)
-		return
-	}
-	deltaNegaForward64(a)
-}
-
 //pfpl:hotpath
-func deltaNegaForward64(a []uint64) {
+func DeltaNegaForward64(a []uint64) {
 	prev := uint64(0)
 	i := 0
 	for ; i+8 <= len(a); i += 8 {
@@ -158,16 +109,8 @@ func deltaNegaForward64(a []uint64) {
 // DeltaNegaInverse64 inverts DeltaNegaForward64 in place.
 //
 //pfpl:kernel
-func DeltaNegaInverse64(a []uint64) {
-	if !fastKernels.Load() {
-		ref.DeltaNegaInverse64(a)
-		return
-	}
-	deltaNegaInverse64(a)
-}
-
 //pfpl:hotpath
-func deltaNegaInverse64(a []uint64) {
+func DeltaNegaInverse64(a []uint64) {
 	prev := uint64(0)
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
@@ -199,11 +142,8 @@ func deltaNegaInverse64(a []uint64) {
 // involution, so it also serves as the inverse transform.
 //
 //pfpl:kernel
+//pfpl:hotpath
 func BitShuffle32(a []uint32) {
-	if !fastKernels.Load() {
-		ref.BitShuffle32(a)
-		return
-	}
 	for i := 0; i+32 <= len(a); i += 32 {
 		bits.Transpose32((*[32]uint32)(a[i : i+32]))
 	}
@@ -212,11 +152,8 @@ func BitShuffle32(a []uint32) {
 // BitShuffle64 transposes each 64-word group of a in place (involution).
 //
 //pfpl:kernel
+//pfpl:hotpath
 func BitShuffle64(a []uint64) {
-	if !fastKernels.Load() {
-		ref.BitShuffle64(a)
-		return
-	}
 	for i := 0; i+64 <= len(a); i += 64 {
 		bits.Transpose64((*[64]uint64)(a[i : i+64]))
 	}
@@ -282,79 +219,113 @@ func nonzeroByteMask(w uint64) byte {
 //
 //pfpl:kernel
 func ZeroElimEncode(data []byte, out []byte) []byte {
-	if !fastKernels.Load() {
-		return ref.ZeroElimEncode(data, out)
-	}
-	bms := make([][]byte, bitmapLevels+1)
-	bms[1] = buildZeroBitmap(data)
-	for level := 2; level <= bitmapLevels; level++ {
-		bms[level] = buildRepeatBitmap(bms[level-1])
-	}
-	// Emit the outermost bitmap raw, then the surviving bytes of each inner
-	// level selected by the bitmap one level up (bit i of bm[k+1] is set
-	// exactly when byte i of bm[k] is non-repeating), and finally the
-	// nonzero payload bytes selected by bm[1].
-	out = append(out, bms[bitmapLevels]...)
-	for level := bitmapLevels - 1; level >= 1; level-- {
-		out = appendSelected(out, bms[level], bms[level+1])
-	}
-	return appendSelected(out, data, bms[1])
+	return zeroElimEncode(data, out, carveBitmaps(make([]byte, bitmapsLen(len(data))), len(data)))
 }
 
-// bitmapScratch preallocates the four bitmap levels for a full chunk
-// (ChunkBytes of shuffled payload; each level shrinks 8x). It hard-codes
-// bitmapLevels == 4, which the compile-time assertion below pins.
-type bitmapScratch struct {
-	bm1 [ChunkBytes / 8]byte
-	bm2 [ChunkBytes / 64]byte
-	bm3 [ChunkBytes / 512]byte
-	bm4 [ChunkBytes / 4096]byte
+// ZeroElimDecode decodes n payload bytes from src into dst (len(dst) == n)
+// and returns the number of bytes of src consumed.
+//
+//pfpl:kernel
+func ZeroElimDecode(src []byte, dst []byte) (int, error) {
+	return zeroElimDecode(src, dst, carveBitmaps(make([]byte, bitmapsLen(len(dst))), len(dst)))
+}
+
+// ZeroElimScratch holds the bitmap levels of a full chunk (ChunkBytes of
+// shuffled payload; each level shrinks 8x) so that executor kernels and
+// cmd/benchcore can drive the zero-elimination stage allocation-free. The
+// size hard-codes bitmapLevels == 4, which the assertions below pin.
+type ZeroElimScratch struct {
+	bms [ChunkBytes/8 + ChunkBytes/64 + ChunkBytes/512 + ChunkBytes/4096]byte
 }
 
 var _ [1]struct{} = [bitmapLevels - 3]struct{}{} // bitmapLevels >= 4
 var _ [1]struct{} = [5 - bitmapLevels]struct{}{} // bitmapLevels <= 4
 
-// ZeroElimScratch exposes the per-chunk bitmap scratch so external callers
-// (cmd/benchcore, executor kernels) can drive the zero-elimination stage
-// allocation-free. data must not exceed ChunkBytes.
-type ZeroElimScratch struct{ bms bitmapScratch }
-
 // ZeroElimEncodeScratch is ZeroElimEncode with the bitmap levels built in
 // caller-owned scratch; len(data) must not exceed ChunkBytes.
+//
+//pfpl:hotpath
 func ZeroElimEncodeScratch(data []byte, out []byte, s *ZeroElimScratch) []byte {
-	return zeroElimEncodeScratch(data, out, &s.bms)
+	return zeroElimEncode(data, out, carveBitmaps(s.bms[:], len(data)))
 }
 
 // ZeroElimDecodeScratch is ZeroElimDecode with the bitmap levels expanded
 // into caller-owned scratch; len(dst) must not exceed ChunkBytes.
-func ZeroElimDecodeScratch(src []byte, dst []byte, s *ZeroElimScratch) (int, error) {
-	return zeroElimDecodeScratch(src, dst, &s.bms)
-}
-
-// zeroElimEncodeScratch is ZeroElimEncode with the bitmap levels built in
-// caller-owned scratch instead of fresh allocations — the variant the fused
-// chunk encoder uses so its hot path stays allocation-free. (The reference
-// fallback allocates its bitmap levels; only the fast path is pinned by the
-// zero-alloc guards.)
 //
 //pfpl:hotpath
-func zeroElimEncodeScratch(data []byte, out []byte, bs *bitmapScratch) []byte {
-	if !fastKernels.Load() {
-		return ref.ZeroElimEncode(data, out)
+func ZeroElimDecodeScratch(src []byte, dst []byte, s *ZeroElimScratch) (int, error) {
+	return zeroElimDecode(src, dst, carveBitmaps(s.bms[:], len(dst)))
+}
+
+// bitmaps is the bitmap hierarchy over one input: level 0 is the zero
+// bitmap of the data and level k the repeat bitmap of level k-1.
+type bitmaps [bitmapLevels][]byte
+
+// bitmapsLen returns the total size of the bitmap hierarchy over n bytes.
+func bitmapsLen(n int) int {
+	total := 0
+	for k := 0; k < bitmapLevels; k++ {
+		n = bitmapLen(n)
+		total += n
 	}
-	bm1 := bs.bm1[:bitmapLen(len(data))]
-	buildZeroBitmapInto(data, bm1)
-	bm2 := bs.bm2[:bitmapLen(len(bm1))]
-	buildRepeatBitmapInto(bm1, bm2)
-	bm3 := bs.bm3[:bitmapLen(len(bm2))]
-	buildRepeatBitmapInto(bm2, bm3)
-	bm4 := bs.bm4[:bitmapLen(len(bm3))]
-	buildRepeatBitmapInto(bm3, bm4)
-	out = append(out, bm4...)
-	out = appendSelected(out, bm3, bm4)
-	out = appendSelected(out, bm2, bm3)
-	out = appendSelected(out, bm1, bm2)
-	return appendSelected(out, data, bm1)
+	return total
+}
+
+// carveBitmaps slices the bitmap hierarchy over n bytes out of buf, which
+// must hold at least bitmapsLen(n) bytes.
+//
+//pfpl:hotpath
+func carveBitmaps(buf []byte, n int) (lv bitmaps) {
+	for k := range lv {
+		n = bitmapLen(n)
+		lv[k], buf = buf[:n], buf[n:]
+	}
+	return lv
+}
+
+// zeroElimEncode is the one encoder body behind ZeroElimEncode and its
+// scratch form: it builds the hierarchy in lv, emits the outermost bitmap
+// raw, then the surviving bytes of each inner level selected by the bitmap
+// one level up (bit i of level k+1 is set exactly when byte i of level k is
+// non-repeating), and finally the nonzero payload bytes selected by
+// level 0.
+//
+//pfpl:hotpath
+func zeroElimEncode(data []byte, out []byte, lv bitmaps) []byte {
+	buildZeroBitmapInto(data, lv[0])
+	for k := 1; k < bitmapLevels; k++ {
+		buildRepeatBitmapInto(lv[k-1], lv[k])
+	}
+	out = append(out, lv[bitmapLevels-1]...)
+	for k := bitmapLevels - 2; k >= 0; k-- {
+		out = appendSelected(out, lv[k], lv[k+1])
+	}
+	return appendSelected(out, data, lv[0])
+}
+
+// zeroElimDecode is the one decoder body behind ZeroElimDecode and its
+// scratch form: it expands the hierarchy in lv top-down, then the payload
+// from the level-0 zero bitmap.
+//
+//pfpl:hotpath
+func zeroElimDecode(src []byte, dst []byte, lv bitmaps) (int, error) {
+	top := lv[bitmapLevels-1]
+	if len(src) < len(top) {
+		return 0, ErrCorrupt
+	}
+	pos := copy(top, src)
+	for k := bitmapLevels - 2; k >= 0; k-- {
+		used, err := expandRepeat(lv[k+1], src[pos:], lv[k])
+		if err != nil {
+			return 0, err
+		}
+		pos += used
+	}
+	used, err := expandZero(lv[0], src[pos:], dst)
+	if err != nil {
+		return 0, err
+	}
+	return pos + used, nil
 }
 
 // appendSelected appends the bytes of data whose bit is set in sel — the
@@ -396,105 +367,12 @@ func appendSelected(out []byte, data []byte, sel []byte) []byte {
 	return out
 }
 
-// ZeroElimDecode decodes n payload bytes from src into dst (len(dst) == n)
-// and returns the number of bytes of src consumed.
-//
-//pfpl:kernel
-func ZeroElimDecode(src []byte, dst []byte) (int, error) {
-	if !fastKernels.Load() {
-		used, err := ref.ZeroElimDecode(src, dst)
-		if err != nil {
-			return 0, ErrCorrupt
-		}
-		return used, nil
-	}
-	n := len(dst)
-	// Compute the bitmap sizes bottom-up, then decode top-down.
-	sizes := make([]int, bitmapLevels+1)
-	sizes[0] = n
-	for level := 1; level <= bitmapLevels; level++ {
-		sizes[level] = bitmapLen(sizes[level-1])
-	}
-	pos := 0
-	outer := src
-	if len(outer) < sizes[bitmapLevels] {
-		return 0, ErrCorrupt
-	}
-	bm := make([]byte, sizes[bitmapLevels])
-	copy(bm, outer[:sizes[bitmapLevels]])
-	pos += sizes[bitmapLevels]
-	for level := bitmapLevels - 1; level >= 1; level-- {
-		next := make([]byte, sizes[level])
-		used, err := expandRepeat(bm, src[pos:], next)
-		if err != nil {
-			return 0, err
-		}
-		pos += used
-		bm = next
-	}
-	// Expand the payload from the level-1 zero bitmap.
-	used, err := expandZero(bm, src[pos:], dst)
-	if err != nil {
-		return 0, err
-	}
-	pos += used
-	return pos, nil
-}
-
-// zeroElimDecodeScratch is ZeroElimDecode with the bitmap levels expanded
-// into caller-owned scratch — the variant the fused chunk decoder uses so
-// its hot path stays allocation-free.
-//
-//pfpl:hotpath
-func zeroElimDecodeScratch(src []byte, dst []byte, bs *bitmapScratch) (int, error) {
-	if !fastKernels.Load() {
-		used, err := ref.ZeroElimDecode(src, dst)
-		if err != nil {
-			return 0, ErrCorrupt
-		}
-		return used, nil
-	}
-	var sizes [bitmapLevels + 1]int
-	sizes[0] = len(dst)
-	for level := 1; level <= bitmapLevels; level++ {
-		sizes[level] = bitmapLen(sizes[level-1])
-	}
-	if len(src) < sizes[bitmapLevels] {
-		return 0, ErrCorrupt
-	}
-	bm := bs.bm4[:sizes[bitmapLevels]]
-	copy(bm, src[:sizes[bitmapLevels]])
-	pos := sizes[bitmapLevels]
-	inner := [bitmapLevels - 1][]byte{bs.bm1[:sizes[1]], bs.bm2[:sizes[2]], bs.bm3[:sizes[3]]}
-	for level := bitmapLevels - 1; level >= 1; level-- {
-		next := inner[level-1]
-		used, err := expandRepeat(bm, src[pos:], next)
-		if err != nil {
-			return 0, err
-		}
-		pos += used
-		bm = next
-	}
-	used, err := expandZero(bm, src[pos:], dst)
-	if err != nil {
-		return 0, err
-	}
-	return pos + used, nil
-}
-
-// buildZeroBitmap returns a bitmap with bit i set iff data[i] != 0. The hot
-// path classifies eight bytes per 64-bit load through the SWAR zero-byte
+// buildZeroBitmapInto writes the zero bitmap of data into bm, which must
+// have length bitmapLen(len(data)): bit i is set iff data[i] != 0. It
+// classifies eight bytes per 64-bit load through the SWAR zero-byte
 // detector: the fused chunk pipeline runs this over every byte of the
 // stream, so word-at-a-time scanning is one of the optimizations behind
-// PFPL's CPU throughput (§III.E).
-func buildZeroBitmap(data []byte) []byte {
-	bm := make([]byte, bitmapLen(len(data)))
-	buildZeroBitmapInto(data, bm)
-	return bm
-}
-
-// buildZeroBitmapInto writes the zero bitmap of data into bm, which must
-// have length bitmapLen(len(data)). Each whole 8-byte group produces its
+// PFPL's CPU throughput (§III.E). Each whole 8-byte group produces its
 // bitmap byte in one nonzeroByteMask; no per-bit probing, no pre-clear.
 //
 //pfpl:hotpath
@@ -515,19 +393,13 @@ func buildZeroBitmapInto(data []byte, bm []byte) {
 	}
 }
 
-// buildRepeatBitmap returns a bitmap with bit i set iff data[i] differs from
-// data[i-1] (bit 0 is always set: the first byte has no predecessor).
-func buildRepeatBitmap(data []byte) []byte {
-	bm := make([]byte, bitmapLen(len(data)))
-	buildRepeatBitmapInto(data, bm)
-	return bm
-}
-
 // buildRepeatBitmapInto writes the repeat bitmap of data into bm, which
-// must have length bitmapLen(len(data)). Shifting the loaded word left one
-// lane and injecting the previous group's last byte aligns every byte with
-// its predecessor, so the repeat test is one XOR plus the SWAR nonzero
-// detector per eight bytes.
+// must have length bitmapLen(len(data)): bit i is set iff data[i] differs
+// from data[i-1], and bit 0 is always set because the first byte has no
+// predecessor. Shifting the loaded word left one lane and injecting the
+// previous group's last byte aligns every byte with its predecessor, so
+// the repeat test is one XOR plus the SWAR nonzero detector per eight
+// bytes.
 //
 //pfpl:hotpath
 func buildRepeatBitmapInto(data []byte, bm []byte) {

@@ -155,7 +155,7 @@ func NewParams(mode Mode, bound float64, noaRange float64, prec64 bool) (Params,
 			p.Raw = true
 			return p, nil
 		}
-		abs := bound * noaRange
+		abs := float64(bound * noaRange)
 		if abs < minNormal || !isFinite64(abs) {
 			p.Raw = true
 			return p, nil
@@ -166,7 +166,7 @@ func NewParams(mode Mode, bound float64, noaRange float64, prec64 bool) (Params,
 		if !isFinite64(p.onePlusEps) {
 			return p, ErrBadBound
 		}
-		p.logBin = 2 * portmath.Log2(p.onePlusEps)
+		p.logBin = float64(2 * portmath.Log2(p.onePlusEps))
 		if p.logBin <= 0 || !isFinite64(p.logBin) {
 			// eps so small that 1+eps rounds to 1: only lossless storage can
 			// honor the bound.

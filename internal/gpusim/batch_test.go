@@ -46,7 +46,7 @@ func TestGridCompressBatch32MatchesPack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []DeviceModel{RTX4090, A100} {
-		got, err := core.CompressBatch(Exec32{m}, fields, core.ABS, 1e-3, nil)
+		got, err := core.CompressBatch(Exec[float32]{m}, fields, core.ABS, 1e-3, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
@@ -64,11 +64,11 @@ func TestGridBatchRoundtrip32(t *testing.T) {
 		if mode == core.REL {
 			bound = 1e-2
 		}
-		buf, err := core.CompressBatch(Exec32{RTX4090}, fields, mode, bound, nil)
+		buf, err := core.CompressBatch(Exec[float32]{RTX4090}, fields, mode, bound, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		got, err := core.DecompressBatch(Exec32{RTX4090}, buf, nil)
+		got, err := core.DecompressBatch(Exec[float32]{RTX4090}, buf, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -93,11 +93,11 @@ func TestGridBatchRoundtrip64(t *testing.T) {
 		return out
 	}
 	fields := [][]float64{mk(core.ChunkWords64 + 1), {}, mk(7)}
-	buf, err := core.CompressBatch(Exec64{A100}, fields, core.ABS, 1e-6, nil)
+	buf, err := core.CompressBatch(Exec[float64]{A100}, fields, core.ABS, 1e-6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.DecompressBatch(Exec64{A100}, buf, nil)
+	got, err := core.DecompressBatch(Exec[float64]{A100}, buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +111,11 @@ func TestGridBatchRoundtrip64(t *testing.T) {
 }
 
 func TestGridBatchWrongPrecision(t *testing.T) {
-	buf, err := core.CompressBatch(Exec32{RTX4090}, [][]float32{{1}}, core.ABS, 1e-3, nil)
+	buf, err := core.CompressBatch(Exec[float32]{RTX4090}, [][]float32{{1}}, core.ABS, 1e-3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.DecompressBatch(Exec64{RTX4090}, buf, nil); !errors.Is(err, core.ErrCorrupt) {
+	if _, err := core.DecompressBatch(Exec[float64]{RTX4090}, buf, nil); !errors.Is(err, core.ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }

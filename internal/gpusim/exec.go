@@ -19,18 +19,32 @@ import (
 // chain, and writes into that field's private payload region — chunk
 // placement inside each field is exactly the serial encoder's, so the
 // containers match the CPU executors byte for byte.
-//
-// The orchestration is written once per precision because the kernels work
-// on per-precision shared-memory types.
 
-// Exec32 runs single-precision plans on a simulated device. It implements
-// core.Executor[float32]. Each simulated SM records its kernel-phase spans
-// on its own track; the persistent-grid shape means an SM's lane
-// interleaves blocks of many fields, as the real device's would.
-type Exec32 struct{ Model DeviceModel }
+// Exec runs plans of element type T on a simulated device. It implements
+// core.Executor[T]. Each simulated SM records its kernel-phase spans on its
+// own track; the persistent-grid shape means an SM's lane interleaves
+// blocks of many fields, as the real device's would.
+type Exec[T core.Float] struct{ Model DeviceModel }
 
-// Exec64 is the double-precision counterpart of Exec32.
-type Exec64 struct{ Model DeviceModel }
+// chunkKernel is one simulated SM's chunk codec for T.
+type chunkKernel[T core.Float] interface {
+	encode(b *Block, p *core.Params, src []T, unit int32) (payload []byte, raw bool)
+	decode(b *Block, p *core.Params, payload []byte, raw bool, dst []T, unit int32) error
+}
+
+// kernel builds the shared memory of SM sm with T's precision bound once,
+// and returns it with the SM's trace track.
+func (e Exec[T]) kernel(rec *obs.Recorder, sm int) (chunkKernel[T], int32) {
+	threads := min(threadsPerBlock, e.Model.MaxThreadsPerBlock)
+	track := smTrack(rec, sm)
+	var k any
+	if core.IsPrec64[T]() {
+		k = newShared(&prec64, threads, rec, track)
+	} else {
+		k = newShared(&prec32, threads, rec, track)
+	}
+	return k.(chunkKernel[T]), track
+}
 
 // smTrack registers the per-SM lane for worker sm on rec (track 0 when
 // tracing is disabled).
@@ -42,28 +56,25 @@ func smTrack(rec *obs.Recorder, sm int) int32 {
 }
 
 // Encode compresses every planned field in one grid launch.
-func (e Exec32) Encode(plans []core.EncodePlan[float32], rec *obs.Recorder) [][]byte {
-	m := e.Model
+func (e Exec[T]) Encode(plans []core.EncodePlan[T], rec *obs.Recorder) [][]byte {
 	starts := core.ChunkStarts(len(plans), func(f int) int { return plans[f].Header.NumChunks })
 	outs, chains := emitBuffers(plans)
-	m.Grid(starts[len(plans)], threadsPerBlock, func(sm int) func(*Block) {
-		s := newShared32(min(threadsPerBlock, m.MaxThreadsPerBlock))
-		s.rec = rec
-		s.track = smTrack(rec, sm)
+	e.Model.Grid(starts[len(plans)], threadsPerBlock, func(sm int) func(*Block) {
+		k, track := e.kernel(rec, sm)
 		return func(b *Block) {
 			f := core.FieldOfChunk(starts, b.Idx)
 			pl := &plans[f]
 			c := b.Idx - starts[f]
 			//pfpl:ignore intwidth c is a chunk index within one field, below its uint32 chunk table size
-			s.unit = int32(c)
-			size, raw := encodeChunk32(b, &pl.Params, pl.Chunk(c), s)
-			core.PutChunkSize(outs[f], c, size, raw)
+			unit := int32(c)
+			payload, raw := k.encode(b, &pl.Params, pl.Chunk(c), unit)
+			core.PutChunkSize(outs[f], c, len(payload), raw)
 			t := rec.Now()
-			prefix := chains[f].ExclusivePrefix(c, int64(size))
-			t = rec.StageSpan(obs.StageCarryWait, s.track, s.unit, t)
+			prefix := chains[f].ExclusivePrefix(c, int64(len(payload)))
+			t = rec.StageSpan(obs.StageCarryWait, track, unit, t)
 			//pfpl:ignore intwidth prefix is a byte offset into the output, bounded by MaxLen
-			copy(outs[f][len(pl.Head)+int(prefix):], s.out[:size])
-			rec.StageSpan(obs.StageEmit, s.track, s.unit, t)
+			copy(outs[f][len(pl.Head)+int(prefix):], payload)
+			rec.StageSpan(obs.StageEmit, track, unit, t)
 		}
 	})
 	for f := range plans {
@@ -74,87 +85,20 @@ func (e Exec32) Encode(plans []core.EncodePlan[float32], rec *obs.Recorder) [][]
 }
 
 // Decode decodes every planned field in one grid launch.
-func (e Exec32) Decode(plans []core.DecodePlan[float32], rec *obs.Recorder) error {
-	m := e.Model
+func (e Exec[T]) Decode(plans []core.DecodePlan[T], rec *obs.Recorder) error {
 	starts := core.ChunkStarts(len(plans), func(f int) int { return plans[f].Header.NumChunks })
 	var firstErr atomic.Value
-	m.Grid(starts[len(plans)], threadsPerBlock, func(sm int) func(*Block) {
-		s := newShared32(min(threadsPerBlock, m.MaxThreadsPerBlock))
-		track := smTrack(rec, sm)
+	e.Model.Grid(starts[len(plans)], threadsPerBlock, func(sm int) func(*Block) {
+		k, _ := e.kernel(rec, sm)
 		return func(b *Block) {
 			f := core.FieldOfChunk(starts, b.Idx)
 			pl := &plans[f]
 			c := b.Idx - starts[f]
 			payload, raw := pl.ChunkPayload(c)
-			dst := pl.ChunkDst(c)
-			t := rec.Now()
-			if err := decodeChunk32(b, &pl.Params, payload, raw, dst, s); err != nil {
-				firstErr.CompareAndSwap(nil, err)
-				return
-			}
 			//pfpl:ignore intwidth c is a chunk index below NumChunks < 2^31 (uint32 table)
-			rec.StageSpanOutcome(obs.StageDecode, track, int32(c), t, outcome(raw), int64(len(payload)), int64(len(dst))*4)
-		}
-	})
-	if err, ok := firstErr.Load().(error); ok {
-		return err
-	}
-	return nil
-}
-
-// Encode compresses every planned field in one grid launch.
-func (e Exec64) Encode(plans []core.EncodePlan[float64], rec *obs.Recorder) [][]byte {
-	m := e.Model
-	starts := core.ChunkStarts(len(plans), func(f int) int { return plans[f].Header.NumChunks })
-	outs, chains := emitBuffers(plans)
-	m.Grid(starts[len(plans)], threadsPerBlock, func(sm int) func(*Block) {
-		s := newShared64(min(threadsPerBlock, m.MaxThreadsPerBlock))
-		s.rec = rec
-		s.track = smTrack(rec, sm)
-		return func(b *Block) {
-			f := core.FieldOfChunk(starts, b.Idx)
-			pl := &plans[f]
-			c := b.Idx - starts[f]
-			//pfpl:ignore intwidth c is a chunk index within one field, below its uint32 chunk table size
-			s.unit = int32(c)
-			size, raw := encodeChunk64(b, &pl.Params, pl.Chunk(c), s)
-			core.PutChunkSize(outs[f], c, size, raw)
-			t := rec.Now()
-			prefix := chains[f].ExclusivePrefix(c, int64(size))
-			t = rec.StageSpan(obs.StageCarryWait, s.track, s.unit, t)
-			//pfpl:ignore intwidth prefix is a byte offset into the output, bounded by MaxLen
-			copy(outs[f][len(pl.Head)+int(prefix):], s.out[:size])
-			rec.StageSpan(obs.StageEmit, s.track, s.unit, t)
-		}
-	})
-	for f := range plans {
-		//pfpl:ignore intwidth Total is the summed payload length, bounded by MaxLen
-		outs[f] = outs[f][:len(plans[f].Head)+int(chains[f].Total())]
-	}
-	return outs
-}
-
-// Decode decodes every planned field in one grid launch.
-func (e Exec64) Decode(plans []core.DecodePlan[float64], rec *obs.Recorder) error {
-	m := e.Model
-	starts := core.ChunkStarts(len(plans), func(f int) int { return plans[f].Header.NumChunks })
-	var firstErr atomic.Value
-	m.Grid(starts[len(plans)], threadsPerBlock, func(sm int) func(*Block) {
-		s := newShared64(min(threadsPerBlock, m.MaxThreadsPerBlock))
-		track := smTrack(rec, sm)
-		return func(b *Block) {
-			f := core.FieldOfChunk(starts, b.Idx)
-			pl := &plans[f]
-			c := b.Idx - starts[f]
-			payload, raw := pl.ChunkPayload(c)
-			dst := pl.ChunkDst(c)
-			t := rec.Now()
-			if err := decodeChunk64(b, &pl.Params, payload, raw, dst, s); err != nil {
+			if err := k.decode(b, &pl.Params, payload, raw, pl.ChunkDst(c), int32(c)); err != nil {
 				firstErr.CompareAndSwap(nil, err)
-				return
 			}
-			//pfpl:ignore intwidth c is a chunk index below NumChunks < 2^31 (uint32 table)
-			rec.StageSpanOutcome(obs.StageDecode, track, int32(c), t, outcome(raw), int64(len(payload)), int64(len(dst))*8)
 		}
 	})
 	if err, ok := firstErr.Load().(error); ok {

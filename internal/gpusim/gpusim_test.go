@@ -31,7 +31,7 @@ func TestBlockExclusiveScanInt(t *testing.T) {
 			want[i] = sum
 			sum += v[i]
 		}
-		total := BlockExclusiveScanInt(v)
+		total := BlockExclusiveScan(v)
 		if total != sum {
 			t.Fatalf("n=%d: total %d, want %d", n, total, sum)
 		}
@@ -54,7 +54,7 @@ func TestBlockInclusiveScanU32(t *testing.T) {
 			sum += v[i]
 			want[i] = sum
 		}
-		BlockInclusiveScanU32(v)
+		BlockInclusiveScan(v)
 		for i := range v {
 			if v[i] != want[i] {
 				t.Fatalf("n=%d: scan[%d] = %d, want %d", n, i, v[i], want[i])
@@ -74,7 +74,7 @@ func TestBlockInclusiveScanU64(t *testing.T) {
 			sum += v[i]
 			want[i] = sum
 		}
-		BlockInclusiveScanU64(v)
+		BlockInclusiveScan(v)
 		for i := range v {
 			if v[i] != want[i] {
 				t.Fatalf("n=%d: scan[%d] mismatch", n, i)
@@ -209,7 +209,7 @@ func TestGPUBitIdentical32(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: serial: %v", name, mode, err)
 			}
-			got, err := core.Compress(Exec32{RTX4090}, src, mode, 1e-3, nil)
+			got, err := core.Compress(Exec[float32]{RTX4090}, src, mode, 1e-3, nil)
 			if err != nil {
 				t.Fatalf("%s %v: gpu: %v", name, mode, err)
 			}
@@ -221,7 +221,7 @@ func TestGPUBitIdentical32(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec, err := core.Decompress(Exec32{A100}, ref, nil, nil)
+			dec, err := core.Decompress(Exec[float32]{A100}, ref, nil, nil)
 			if err != nil {
 				t.Fatalf("%s %v: gpu decompress: %v", name, mode, err)
 			}
@@ -247,7 +247,7 @@ func TestGPUBitIdentical64(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := core.Compress(Exec64{RTX4090}, src, mode, 1e-4, nil)
+			got, err := core.Compress(Exec[float64]{RTX4090}, src, mode, 1e-4, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,7 +255,7 @@ func TestGPUBitIdentical64(t *testing.T) {
 				t.Fatalf("%s %v: GPU stream differs from serial", name, mode)
 			}
 			want, _ := core.DecompressSerial64(ref, nil)
-			dec, err := core.Decompress(Exec64{TitanXp}, ref, nil, nil)
+			dec, err := core.Decompress(Exec[float64]{TitanXp}, ref, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,7 +275,7 @@ func TestGPUAllModelsIdentical(t *testing.T) {
 	src := synth32(2*core.ChunkWords32+99, 7)
 	var ref []byte
 	for _, m := range Models {
-		got, err := core.Compress(Exec32{m}, src, core.ABS, 1e-2, nil)
+		got, err := core.Compress(Exec[float32]{m}, src, core.ABS, 1e-2, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
@@ -290,20 +290,40 @@ func TestGPUAllModelsIdentical(t *testing.T) {
 }
 
 func TestGPURejectsCorruptStreams(t *testing.T) {
-	src := synth32(50000, 8)
-	comp, err := core.Compress(Exec32{RTX4090}, src, core.ABS, 1e-3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.Decompress(Exec32{RTX4090}, comp[:len(comp)-3], nil, nil); err == nil {
-		t.Error("truncated stream accepted")
-	}
-	rng := rand.New(rand.NewSource(9))
-	for iter := 0; iter < 100; iter++ {
-		buf := append([]byte(nil), comp...)
-		buf[rng.Intn(len(buf))] ^= byte(1 << uint(rng.Intn(8)))
-		// Must never panic.
-		_, _ = core.Decompress(Exec32{RTX4090}, buf, nil, nil)
+	// The f64 decoder shares its expansion code with f32, so both
+	// precisions run the truncation check and the bit-flip sweep.
+	for _, tc := range []struct {
+		name       string
+		compress   func() ([]byte, error)
+		decompress func([]byte) error
+	}{
+		{"f32", func() ([]byte, error) {
+			return core.Compress(Exec[float32]{RTX4090}, synth32(50000, 8), core.ABS, 1e-3, nil)
+		}, func(buf []byte) error {
+			_, err := core.Decompress(Exec[float32]{RTX4090}, buf, nil, nil)
+			return err
+		}},
+		{"f64", func() ([]byte, error) {
+			return core.Compress(Exec[float64]{RTX4090}, synth64(30000, 8), core.ABS, 1e-6, nil)
+		}, func(buf []byte) error {
+			_, err := core.Decompress(Exec[float64]{RTX4090}, buf, nil, nil)
+			return err
+		}},
+	} {
+		comp, err := tc.compress()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.decompress(comp[:len(comp)-3]); err == nil {
+			t.Errorf("%s: truncated stream accepted", tc.name)
+		}
+		rng := rand.New(rand.NewSource(9))
+		for iter := 0; iter < 100; iter++ {
+			buf := append([]byte(nil), comp...)
+			buf[rng.Intn(len(buf))] ^= byte(1 << uint(rng.Intn(8)))
+			// Must never panic.
+			_ = tc.decompress(buf)
+		}
 	}
 }
 
@@ -353,14 +373,14 @@ func TestGPUCompressDecompressThreadCounts(t *testing.T) {
 		MemBandwidthGBs: 1, MaxThreadsPerBlock: 32}
 	src := synth32(core.ChunkWords32+123, 10)
 	ref, _ := core.CompressSerial32(src, core.REL, 1e-2)
-	got, err := core.Compress(Exec32{tiny}, src, core.REL, 1e-2, nil)
+	got, err := core.Compress(Exec[float32]{tiny}, src, core.REL, 1e-2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ref, got) {
 		t.Fatal("32-thread blocks change the output bytes")
 	}
-	dec, err := core.Decompress(Exec32{tiny}, got, nil, nil)
+	dec, err := core.Decompress(Exec[float32]{tiny}, got, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

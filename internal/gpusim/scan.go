@@ -7,9 +7,13 @@ package gpusim
 // operation order — and therefore the result for any associative operation,
 // including wrapping integer addition — matches a real block execution.
 
-// BlockExclusiveScanInt computes the exclusive prefix sum of v in place and
+// scalar is an element the block scans accept: a compaction count or a
+// lane word of either precision (summed with wrapping addition).
+type scalar interface{ int | uint32 | uint64 }
+
+// BlockExclusiveScan computes the exclusive prefix sum of v in place and
 // returns the total. len(v) need not be a power of two.
-func BlockExclusiveScanInt(v []int) int {
+func BlockExclusiveScan[E scalar](v []E) E {
 	n := len(v)
 	if n == 0 {
 		return 0
@@ -19,7 +23,7 @@ func BlockExclusiveScanInt(v []int) int {
 	for p2 < n {
 		p2 <<= 1
 	}
-	tree := make([]int, p2)
+	tree := make([]E, p2)
 	copy(tree, v)
 	// Upsweep.
 	for d := 1; d < p2; d <<= 1 {
@@ -41,71 +45,15 @@ func BlockExclusiveScanInt(v []int) int {
 	return total
 }
 
-// BlockInclusiveScanU32 computes the inclusive prefix sum of v in place
-// with wrapping uint32 addition — the scan the delta decoder needs: the
-// reconstructed word i is the wrapping sum of residuals 0..i.
-func BlockInclusiveScanU32(v []uint32) {
-	n := len(v)
-	if n == 0 {
+// BlockInclusiveScan computes the inclusive prefix sum of v in place — the
+// scan the delta decoder needs: the reconstructed word i is the wrapping
+// sum of residuals 0..i. It shifts the exclusive scan left one and appends
+// the total, as the CUDA kernels do with a final shuffle.
+func BlockInclusiveScan[E scalar](v []E) {
+	if len(v) == 0 {
 		return
 	}
-	p2 := 1
-	for p2 < n {
-		p2 <<= 1
-	}
-	tree := make([]uint32, p2)
-	copy(tree, v)
-	for d := 1; d < p2; d <<= 1 {
-		for i := 2*d - 1; i < p2; i += 2 * d {
-			tree[i] += tree[i-d]
-		}
-	}
-	last := tree[p2-1]
-	tree[p2-1] = 0
-	for d := p2 >> 1; d >= 1; d >>= 1 {
-		for i := 2*d - 1; i < p2; i += 2 * d {
-			t := tree[i-d]
-			tree[i-d] = tree[i]
-			tree[i] += t
-		}
-	}
-	// Convert the exclusive scan to inclusive by shifting left one and
-	// appending the total, as the CUDA kernels do with a final shuffle.
-	for i := 0; i < n-1; i++ {
-		v[i] = tree[i+1]
-	}
-	v[n-1] = last
-}
-
-// BlockInclusiveScanU64 is the 64-bit-word counterpart of
-// BlockInclusiveScanU32.
-func BlockInclusiveScanU64(v []uint64) {
-	n := len(v)
-	if n == 0 {
-		return
-	}
-	p2 := 1
-	for p2 < n {
-		p2 <<= 1
-	}
-	tree := make([]uint64, p2)
-	copy(tree, v)
-	for d := 1; d < p2; d <<= 1 {
-		for i := 2*d - 1; i < p2; i += 2 * d {
-			tree[i] += tree[i-d]
-		}
-	}
-	last := tree[p2-1]
-	tree[p2-1] = 0
-	for d := p2 >> 1; d >= 1; d >>= 1 {
-		for i := 2*d - 1; i < p2; i += 2 * d {
-			t := tree[i-d]
-			tree[i-d] = tree[i]
-			tree[i] += t
-		}
-	}
-	for i := 0; i < n-1; i++ {
-		v[i] = tree[i+1]
-	}
-	v[n-1] = last
+	total := BlockExclusiveScan(v)
+	copy(v, v[1:])
+	v[len(v)-1] = total
 }

@@ -9,7 +9,7 @@ func TestQuickScanU32MatchesSerial(t *testing.T) {
 	f := func(v []uint32) bool {
 		got := make([]uint32, len(v))
 		copy(got, v)
-		BlockInclusiveScanU32(got)
+		BlockInclusiveScan(got)
 		var sum uint32
 		for i, x := range v {
 			sum += x
@@ -28,7 +28,7 @@ func TestQuickScanU64MatchesSerial(t *testing.T) {
 	f := func(v []uint64) bool {
 		got := make([]uint64, len(v))
 		copy(got, v)
-		BlockInclusiveScanU64(got)
+		BlockInclusiveScan(got)
 		var sum uint64
 		for i, x := range v {
 			sum += x
@@ -53,7 +53,7 @@ func TestQuickExclusiveScanInt(t *testing.T) {
 			want[i] = sum
 			sum += int(x)
 		}
-		if BlockExclusiveScanInt(v) != sum {
+		if BlockExclusiveScan(v) != sum {
 			return false
 		}
 		for i := range v {

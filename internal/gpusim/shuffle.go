@@ -9,63 +9,29 @@ package gpusim
 // transpose used by the CPU path, which is exactly the cross-device
 // equivalence the paper's design depends on.
 
-// warpShuffleXor32 models __shfl_xor_sync for a 32-lane warp: lane l
-// receives the value held by lane l^mask. All lanes read the pre-exchange
-// snapshot, as the hardware instruction does.
-func warpShuffleXor32(lanes *[32]uint32, mask int) [32]uint32 {
-	var out [32]uint32
-	for l := range lanes {
+// warpShuffleXor models __shfl_xor_sync: lane l of out receives the value
+// held by lane l^mask of lanes. All lanes read the pre-exchange snapshot,
+// as the hardware instruction does.
+func warpShuffleXor[W word](lanes, out []W, mask int) {
+	for l := range out {
 		out[l] = lanes[l^mask]
 	}
-	return out
 }
 
-// warpShuffleXor64 models the exchange across a 64-lane pair of warps (the
-// double-precision path assigns 64 values per group, §III.E).
-func warpShuffleXor64(lanes *[64]uint64, mask int) [64]uint64 {
-	var out [64]uint64
-	for l := range lanes {
-		out[l] = lanes[l^mask]
-	}
-	return out
-}
-
-// butterfly masks selecting the bit positions whose index has the given
-// power-of-two bit clear.
-var butterflyMask32 = [5]uint32{0x0000FFFF, 0x00FF00FF, 0x0F0F0F0F, 0x33333333, 0x55555555}
-
-var butterflyMask64 = [6]uint64{
-	0x00000000FFFFFFFF, 0x0000FFFF0000FFFF, 0x00FF00FF00FF00FF,
-	0x0F0F0F0F0F0F0F0F, 0x3333333333333333, 0x5555555555555555,
-}
-
-// TransposeWarpShuffle32 transposes the 32x32 bit matrix held by a warp
-// (lane l holds row l) with 5 shuffle-and-merge butterfly steps. The result
-// matches bits.Transpose32: bit j of lane i becomes bit i of lane j.
-func TransposeWarpShuffle32(lanes *[32]uint32) {
-	for step := 0; step < 5; step++ {
-		s := uint(16 >> step)
-		m := butterflyMask32[step]
-		partner := warpShuffleXor32(lanes, int(s))
+// TransposeWarpShuffle transposes the square bit matrix held by a warp of
+// W lanes (lane l holds row l): 32 lanes of uint32, or for double precision
+// the 64 lanes of a cooperating warp pair of uint64 (§III.E). It runs
+// log2(len(lanes)) shuffle-and-merge butterfly steps, and the result
+// matches bits.Transpose32/64: bit j of lane i becomes bit i of lane j.
+func TransposeWarpShuffle[W word](lanes []W) {
+	var buf [64]W
+	partner := buf[:len(lanes)]
+	for s := len(lanes) / 2; s > 0; s >>= 1 {
+		// m selects the bit positions whose index has bit s clear.
+		m := ^W(0) / (W(1)<<s + 1)
+		warpShuffleXor(lanes, partner, s)
 		for l := range lanes {
-			if l&int(s) == 0 {
-				lanes[l] = lanes[l]&m | partner[l]&m<<s
-			} else {
-				lanes[l] = lanes[l]&^m | partner[l]&^m>>s
-			}
-		}
-	}
-}
-
-// TransposeWarpShuffle64 is the 64-value counterpart executed by a pair of
-// cooperating warps.
-func TransposeWarpShuffle64(lanes *[64]uint64) {
-	for step := 0; step < 6; step++ {
-		s := uint(32 >> step)
-		m := butterflyMask64[step]
-		partner := warpShuffleXor64(lanes, int(s))
-		for l := range lanes {
-			if l&int(s) == 0 {
+			if l&s == 0 {
 				lanes[l] = lanes[l]&m | partner[l]&m<<s
 			} else {
 				lanes[l] = lanes[l]&^m | partner[l]&^m>>s

@@ -12,7 +12,8 @@ func TestWarpShuffleXor(t *testing.T) {
 	for i := range lanes {
 		lanes[i] = uint32(i)
 	}
-	out := warpShuffleXor32(&lanes, 5)
+	var out [32]uint32
+	warpShuffleXor(lanes[:], out[:], 5)
 	for l := range out {
 		if out[l] != uint32(l^5) {
 			t.Fatalf("lane %d received %d, want %d", l, out[l], l^5)
@@ -31,7 +32,7 @@ func TestTransposeWarpShuffle32MatchesLibrary(t *testing.T) {
 			a[i] = rng.Uint32()
 			b[i] = a[i]
 		}
-		TransposeWarpShuffle32(&a)
+		TransposeWarpShuffle(a[:])
 		bits.Transpose32(&b)
 		if a != b {
 			t.Fatalf("iter %d: shuffle transpose differs from library transpose", iter)
@@ -47,7 +48,7 @@ func TestTransposeWarpShuffle64MatchesLibrary(t *testing.T) {
 			a[i] = rng.Uint64()
 			b[i] = a[i]
 		}
-		TransposeWarpShuffle64(&a)
+		TransposeWarpShuffle(a[:])
 		bits.Transpose64(&b)
 		if a != b {
 			t.Fatalf("iter %d: shuffle transpose differs from library transpose", iter)
@@ -62,8 +63,8 @@ func TestTransposeWarpShuffleInvolution(t *testing.T) {
 		a[i] = rng.Uint32()
 		orig[i] = a[i]
 	}
-	TransposeWarpShuffle32(&a)
-	TransposeWarpShuffle32(&a)
+	TransposeWarpShuffle(a[:])
+	TransposeWarpShuffle(a[:])
 	if a != orig {
 		t.Fatal("double shuffle transpose is not identity")
 	}

@@ -28,7 +28,7 @@ func timelineInput(t *testing.T) ([]float32, []byte) {
 			src[i] = math.Float32frombits(state&0x807FFFFF | (200+state>>24%54)<<23)
 		}
 	}
-	comp, err := core.Compress(Exec32{RTX4090}, src, core.ABS, 1e-3, nil)
+	comp, err := core.Compress(Exec[float32]{RTX4090}, src, core.ABS, 1e-3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestModelTimelineRejectsCorrupt(t *testing.T) {
 func TestCompressTracedIdenticalAndRecords(t *testing.T) {
 	src, comp := timelineInput(t)
 	rec := obs.New(1 << 16)
-	traced, err := core.Compress(Exec32{RTX4090}, src, core.ABS, 1e-3, rec)
+	traced, err := core.Compress(Exec[float32]{RTX4090}, src, core.ABS, 1e-3, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestCompressTracedIdenticalAndRecords(t *testing.T) {
 	}
 	// Decode side: traced decompression must round-trip and record decode spans.
 	rec2 := obs.New(1 << 16)
-	vals, err := core.Decompress(Exec32{RTX4090}, comp, nil, rec2)
+	vals, err := core.Decompress(Exec[float32]{RTX4090}, comp, nil, rec2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,15 @@
 // Library log()/pow() implementations often differ between compilers and
 // devices, which would break PFPL's bit-for-bit CPU/GPU compatibility. The
 // functions here therefore use only IEEE 754 addition, subtraction,
-// multiplication, and division (never fused multiply-add: Go's compiler is
-// not permitted to fuse explicit float64 expressions that are written as
-// separate operations with intermediate variables of declared float64 type,
-// and this package keeps every intermediate rounded through a float64
-// variable) plus integer bit manipulation. Identical inputs therefore yield
-// identical outputs on every conforming platform.
+// multiplication, and division plus integer bit manipulation, and never a
+// fused multiply-add. The Go spec lets the compiler fuse x*y + z into one
+// FMA instruction — even across statements and through a declared float64
+// variable — and it does so on arm64, ppc64le, riscv64 and loong64. Only
+// an explicit float64(...) conversion forces the product to be rounded, so
+// every product that feeds an addition or subtraction here, and in the
+// quantizers of internal/core, is wrapped in one; TestNoFusedMultiplyAdd
+// asserts that no fused instruction survives. Identical inputs therefore
+// yield identical outputs on every conforming platform.
 //
 // The approximations carry small errors relative to a correctly rounded
 // libm. PFPL tolerates this: the quantizer immediately verifies every
@@ -44,28 +47,28 @@ func Log2(x float64) float64 {
 	// Replace the exponent to obtain the mantissa m in [1, 2).
 	m := math.Float64frombits(bits&0x000FFFFFFFFFFFFF | 0x3FF0000000000000)
 	if m > sqrt2 {
-		m = m * 0.5
+		m = float64(m * 0.5)
 		e++
 	}
 	// ln(m) = 2*atanh(s) with s = (m-1)/(m+1), |s| <= 0.1716.
 	num := m - 1
 	den := m + 1
 	s := num / den
-	z := s * s
+	z := float64(s * s)
 	// Horner evaluation of 1 + z/3 + z^2/5 + ... + z^10/21.
 	p := 1.0 / 21.0
-	p = p*z + 1.0/19.0
-	p = p*z + 1.0/17.0
-	p = p*z + 1.0/15.0
-	p = p*z + 1.0/13.0
-	p = p*z + 1.0/11.0
-	p = p*z + 1.0/9.0
-	p = p*z + 1.0/7.0
-	p = p*z + 1.0/5.0
-	p = p*z + 1.0/3.0
-	p = p*z + 1.0
+	p = float64(p*z) + 1.0/19.0
+	p = float64(p*z) + 1.0/17.0
+	p = float64(p*z) + 1.0/15.0
+	p = float64(p*z) + 1.0/13.0
+	p = float64(p*z) + 1.0/11.0
+	p = float64(p*z) + 1.0/9.0
+	p = float64(p*z) + 1.0/7.0
+	p = float64(p*z) + 1.0/5.0
+	p = float64(p*z) + 1.0/3.0
+	p = float64(p*z) + 1.0
 	lnm := 2 * s * p
-	return float64(e) + lnm*invLn2
+	return float64(e) + float64(lnm*invLn2)
 }
 
 // Exp2 returns an approximation of 2**x for finite x, saturating to +Inf
@@ -81,24 +84,24 @@ func Exp2(x float64) float64 {
 		return 0
 	}
 	n := RoundToInt(x)
-	f := x - float64(n) // in [-0.5, 0.5]
-	t := f * ln2        // in [-0.347, 0.347]
+	f := x - float64(n)   // in [-0.5, 0.5]
+	t := float64(f * ln2) // in [-0.347, 0.347]
 	// Taylor series for exp(t): terms through t^13/13! keep the truncation
 	// error below 1e-16 relative on the reduced range.
 	p := 1.0 / 6227020800.0 // 1/13!
-	p = p*t + 1.0/479001600.0
-	p = p*t + 1.0/39916800.0
-	p = p*t + 1.0/3628800.0
-	p = p*t + 1.0/362880.0
-	p = p*t + 1.0/40320.0
-	p = p*t + 1.0/5040.0
-	p = p*t + 1.0/720.0
-	p = p*t + 1.0/120.0
-	p = p*t + 1.0/24.0
-	p = p*t + 1.0/6.0
-	p = p*t + 0.5
-	p = p*t + 1.0
-	p = p*t + 1.0
+	p = float64(p*t) + 1.0/479001600.0
+	p = float64(p*t) + 1.0/39916800.0
+	p = float64(p*t) + 1.0/3628800.0
+	p = float64(p*t) + 1.0/362880.0
+	p = float64(p*t) + 1.0/40320.0
+	p = float64(p*t) + 1.0/5040.0
+	p = float64(p*t) + 1.0/720.0
+	p = float64(p*t) + 1.0/120.0
+	p = float64(p*t) + 1.0/24.0
+	p = float64(p*t) + 1.0/6.0
+	p = float64(p*t) + 0.5
+	p = float64(p*t) + 1.0
+	p = float64(p*t) + 1.0
 	return Scalb(p, n)
 }
 
