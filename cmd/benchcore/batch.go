@@ -36,8 +36,10 @@ type BatchResult struct {
 type BatchReport struct {
 	Description string        `json:"description"`
 	Date        string        `json:"date"`
+	Commit      string        `json:"commit"`
 	GoVersion   string        `json:"go_version"`
 	GOARCH      string        `json:"goarch"`
+	GOAMD64     string        `json:"goamd64"`
 	NumCPU      int           `json:"num_cpu"`
 	GOMAXPROCS  int           `json:"gomaxprocs"`
 	Fields      int           `json:"fields"`
@@ -150,11 +152,14 @@ func batchBenchmarks(budget time.Duration, numFields, fieldValues int) []BatchRe
 }
 
 func batchReport(budget time.Duration, numFields, fieldValues int) BatchReport {
+	commit, goamd64 := provenance()
 	return BatchReport{
 		Description: fmt.Sprintf("PFPL batch path on the many-small-fields (DAQ) shape: %d fields x %d KB float32 (ABS 1e-3), batch (one dispatch over all fields' chunks) vs per-field (one dispatch per field) on the same executor. Regenerate: go run ./cmd/benchcore -batch-out results/BENCH_batch.json (see EXPERIMENTS.md).", numFields, fieldValues*4/1024),
 		Date:        time.Now().UTC().Format("2006-01-02"),
+		Commit:      commit,
 		GoVersion:   runtime.Version(),
 		GOARCH:      runtime.GOARCH,
+		GOAMD64:     goamd64,
 		NumCPU:      runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Fields:      numFields,

@@ -1,5 +1,6 @@
 // Command benchcore measures the throughput of every PFPL lossless-stage
-// kernel — word-parallel fast path and scalar reference — plus end-to-end
+// kernel — word-parallel fast path and scalar reference — and of the
+// quantizers — chunk kernels and the per-value loop — plus end-to-end
 // compress/decompress throughput per executor, and writes the results as
 // JSON in the same spirit as results/BENCH_serve.json.
 //
@@ -27,8 +28,9 @@ import (
 	"pfpl/internal/core/ref"
 )
 
-// Result is one throughput measurement. Stage entries carry impl
-// "fast"/"ref"; executor entries carry the executor name.
+// Result is one throughput measurement. Lossless-stage entries carry impl
+// "fast"/"ref", quantizer entries "chunk"/"per_value"; executor entries
+// carry the executor name.
 type Result struct {
 	Name       string  `json:"name"`
 	Kind       string  `json:"kind"` // "stage" or "executor"
@@ -43,7 +45,8 @@ type Result struct {
 	GBPerS     float64 `json:"gb_per_s"`
 }
 
-// Speedup summarizes fast-over-reference for one stage benchmark.
+// Speedup summarizes fast-over-reference (chunk-over-per-value for the
+// quantizers) for one stage benchmark.
 type Speedup struct {
 	Name        string  `json:"name"`
 	FastOverRef float64 `json:"fast_over_ref"`
@@ -53,8 +56,10 @@ type Speedup struct {
 type Report struct {
 	Description string    `json:"description"`
 	Date        string    `json:"date"`
+	Commit      string    `json:"commit"`
 	GoVersion   string    `json:"go_version"`
 	GOARCH      string    `json:"goarch"`
+	GOAMD64     string    `json:"goamd64"`
 	NumCPU      int       `json:"num_cpu"`
 	GOMAXPROCS  int       `json:"gomaxprocs"`
 	ChunkBytes  int       `json:"chunk_bytes"`
@@ -281,12 +286,17 @@ func executorBenchmarks(budget time.Duration) []Result {
 
 func run(budget time.Duration, outPath, batchOutPath string, batchFields int) error {
 	stages, speedups := stageBenchmarks(budget)
+	qstages, qspeedups := quantBenchmarks(budget)
+	stages, speedups = append(stages, qstages...), append(speedups, qspeedups...)
 	executors := executorBenchmarks(budget)
+	commit, goamd64 := provenance()
 	rep := Report{
-		Description: "PFPL core kernel throughput: per-stage fast (word-parallel) vs ref (scalar reference) GB/s, plus end-to-end executor throughput on a 4 MiB smooth float32 field (ABS 1e-3). Regenerate: go run ./cmd/benchcore -out results/BENCH_core.json (see EXPERIMENTS.md).",
+		Description: "PFPL core kernel throughput: per-stage fast (word-parallel) vs ref (scalar reference) GB/s, quantizer chunk kernels vs the per-value loop on the first chunk of every ScaleSmall SDRBench file (REL 1e-3, ABS 1e-3 x chunk range), plus end-to-end executor throughput on a 4 MiB smooth float32 field (ABS 1e-3). Regenerate in isolation: go run ./cmd/benchcore -out results/BENCH_core.json (see EXPERIMENTS.md).",
 		Date:        time.Now().UTC().Format("2006-01-02"),
+		Commit:      commit,
 		GoVersion:   runtime.Version(),
 		GOARCH:      runtime.GOARCH,
+		GOAMD64:     goamd64,
 		NumCPU:      runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		ChunkBytes:  core.ChunkBytes,

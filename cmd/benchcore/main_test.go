@@ -9,9 +9,11 @@ import (
 )
 
 // TestRunEmitsValidReport runs the whole harness at a tiny budget and
-// checks the JSON schema: every stage has a fast and a ref entry, every
-// measurement reports positive throughput, and the zero-elim speedups are
-// present (the acceptance numbers the optimized kernels are pinned to).
+// checks the JSON schema: every lossless stage has a fast and a ref entry,
+// every quantizer row a chunk and a per-value entry, every measurement
+// reports positive throughput, the zero-elim and quantizer speedups are
+// present (the acceptance numbers the optimized kernels are pinned to), and
+// the report carries its provenance.
 func TestRunEmitsValidReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measurement pass skipped in short mode")
@@ -47,6 +49,35 @@ func TestRunEmitsValidReport(t *testing.T) {
 		if !impls[stage]["fast"] || !impls[stage]["ref"] {
 			t.Errorf("stage %q missing fast or ref entries: %v", stage, impls[stage])
 		}
+	}
+	// The quantizer rows: chunk kernel and per-value loop for every stage,
+	// mode and precision, each with its speedup entry.
+	names := map[string]bool{}
+	for _, r := range rep.Stages {
+		names[r.Name] = true
+	}
+	speedups := map[string]bool{}
+	for _, s := range rep.Speedups {
+		speedups[s.Name] = true
+	}
+	for _, stage := range []string{"quantize", "dequantize"} {
+		for _, mode := range []string{"abs", "rel"} {
+			for _, prec := range []string{"32", "64"} {
+				name := stage + "/" + mode + "/" + prec
+				if !names[name] || !names[name+"/per_value"] || !speedups[name] {
+					t.Errorf("quantizer row %s: chunk %v, per_value %v, speedup %v",
+						name, names[name], names[name+"/per_value"], speedups[name])
+				}
+			}
+		}
+	}
+	// Provenance: which code ran, built how, on how many CPUs.
+	if rep.Commit == "" || rep.GoVersion == "" || rep.NumCPU <= 0 || rep.GOMAXPROCS <= 0 {
+		t.Errorf("incomplete provenance: commit %q, go %q, num_cpu %d, gomaxprocs %d",
+			rep.Commit, rep.GoVersion, rep.NumCPU, rep.GOMAXPROCS)
+	}
+	if rep.GOARCH == "amd64" && rep.GOAMD64 == "" {
+		t.Error("amd64 report without a GOAMD64 level")
 	}
 	sawZeroElim := false
 	for _, s := range rep.Speedups {

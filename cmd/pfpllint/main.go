@@ -1,6 +1,6 @@
 // Command pfpllint is the repository's invariant checker: a multichecker
-// bundling the five analyzers in internal/analyzers (determinism,
-// intwidth, errchain, hotpath, refparity).
+// bundling the six analyzers in internal/analyzers (determinism,
+// intwidth, errchain, hotpath, refparity, nofma).
 //
 // It runs two ways:
 //
@@ -35,7 +35,7 @@ import (
 // requires the third field to be a non-"devel" version token it can use
 // as a cache key, so bump it whenever analyzer behavior changes — stale
 // vet caches would otherwise keep serving old verdicts.
-const version = "v1.0.0"
+const version = "v1.1.0"
 
 func main() {
 	os.Exit(run(os.Args[1:]))

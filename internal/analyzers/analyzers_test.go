@@ -129,3 +129,7 @@ func runOnSource(t *testing.T, a *analysis.Analyzer, goarch, src string) []analy
 	}
 	return diags
 }
+
+func TestNoFMA(t *testing.T) {
+	analysistest.Run(t, "testdata", NoFMA, "nofma/internal/core", "nofma/marked", "nofma/clean")
+}

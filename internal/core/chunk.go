@@ -26,6 +26,7 @@ type Scratch32 struct {
 	bytes [ChunkBytes]byte
 	out   [MaxChunkPayload]byte
 	zs    ZeroElimScratch
+	q     QuantScratch
 
 	Rec   *obs.Recorder
 	Track int32
@@ -38,6 +39,7 @@ type Scratch64 struct {
 	bytes [ChunkBytes]byte
 	out   [MaxChunkPayload]byte
 	zs    ZeroElimScratch
+	q     QuantScratch
 
 	Rec   *obs.Recorder
 	Track int32
@@ -61,9 +63,7 @@ func EncodeChunk32(p *Params, src []float32, s *Scratch32) (payload []byte, raw 
 	rec := s.Rec
 	t := rec.Now()
 	n := len(src)
-	for i, v := range src {
-		s.words[i] = p.EncodeValue32(v)
-	}
+	p.QuantizeChunk32(s.words[:], src, &s.q)
 	t = rec.StageSpan(obs.StageQuantize, s.Track, s.Unit, t)
 	DeltaNegaForward32(s.words[:n])
 	padded := PaddedWords32(n)
@@ -119,9 +119,7 @@ func DecodeChunk32(p *Params, payload []byte, raw bool, dst []float32, s *Scratc
 	}
 	BitShuffle32(s.words[:padded])
 	DeltaNegaInverse32(s.words[:n])
-	for i := range dst {
-		dst[i] = p.DecodeValue32(s.words[i])
-	}
+	p.DequantizeChunk32(dst, s.words[:n], &s.q)
 	rec.StageSpanOutcome(obs.StageDecode, s.Track, s.Unit, t, obs.OutcomeCompressed, int64(len(payload)), int64(n)*4)
 	return nil
 }
@@ -134,9 +132,7 @@ func EncodeChunk64(p *Params, src []float64, s *Scratch64) (payload []byte, raw 
 	rec := s.Rec
 	t := rec.Now()
 	n := len(src)
-	for i, v := range src {
-		s.words[i] = p.EncodeValue64(v)
-	}
+	p.QuantizeChunk64(s.words[:], src, &s.q)
 	t = rec.StageSpan(obs.StageQuantize, s.Track, s.Unit, t)
 	DeltaNegaForward64(s.words[:n])
 	padded := PaddedWords64(n)
@@ -191,9 +187,7 @@ func DecodeChunk64(p *Params, payload []byte, raw bool, dst []float64, s *Scratc
 	}
 	BitShuffle64(s.words[:padded])
 	DeltaNegaInverse64(s.words[:n])
-	for i := range dst {
-		dst[i] = p.DecodeValue64(s.words[i])
-	}
+	p.DequantizeChunk64(dst, s.words[:n], &s.q)
 	rec.StageSpanOutcome(obs.StageDecode, s.Track, s.Unit, t, obs.OutcomeCompressed, int64(len(payload)), int64(n)*8)
 	return nil
 }

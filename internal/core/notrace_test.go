@@ -17,9 +17,20 @@ func noTraceInput32() []float32 {
 	return src
 }
 
-func TestEncodeChunkNoTraceZeroAllocs(t *testing.T) {
+func TestEncodeChunkNoTraceZeroAllocs(t *testing.T)   { checkEncodeZeroAllocs32(t, ABS) }
+func TestDecodeChunkNoTraceZeroAllocs(t *testing.T)   { checkDecodeZeroAllocs32(t, ABS) }
+func TestEncodeChunk64NoTraceZeroAllocs(t *testing.T) { checkEncodeZeroAllocs64(t, ABS) }
+func TestDecodeChunk64NoTraceZeroAllocs(t *testing.T) { checkDecodeZeroAllocs64(t, ABS) }
+
+// The REL chunk kernels keep their log2 block and exp2 memo in the scratch.
+func TestEncodeChunkRELNoTraceZeroAllocs(t *testing.T)   { checkEncodeZeroAllocs32(t, REL) }
+func TestDecodeChunkRELNoTraceZeroAllocs(t *testing.T)   { checkDecodeZeroAllocs32(t, REL) }
+func TestEncodeChunk64RELNoTraceZeroAllocs(t *testing.T) { checkEncodeZeroAllocs64(t, REL) }
+func TestDecodeChunk64RELNoTraceZeroAllocs(t *testing.T) { checkDecodeZeroAllocs64(t, REL) }
+
+func checkEncodeZeroAllocs32(t *testing.T, mode Mode) {
 	src := noTraceInput32()
-	p, err := NewParams(ABS, 1e-3, 0, false)
+	p, err := NewParams(mode, 1e-3, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,13 +41,13 @@ func TestEncodeChunkNoTraceZeroAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("EncodeChunk32 with nil recorder allocated %.1f times per op, want 0", allocs)
+		t.Fatalf("%v EncodeChunk32 with nil recorder allocated %.1f times per op, want 0", mode, allocs)
 	}
 }
 
-func TestDecodeChunkNoTraceZeroAllocs(t *testing.T) {
+func checkDecodeZeroAllocs32(t *testing.T, mode Mode) {
 	src := noTraceInput32()
-	p, err := NewParams(ABS, 1e-3, 0, false)
+	p, err := NewParams(mode, 1e-3, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +63,7 @@ func TestDecodeChunkNoTraceZeroAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("DecodeChunk32 with nil recorder allocated %.1f times per op, want 0", allocs)
+		t.Fatalf("%v DecodeChunk32 with nil recorder allocated %.1f times per op, want 0", mode, allocs)
 	}
 }
 
@@ -64,9 +75,9 @@ func noTraceInput64() []float64 {
 	return src
 }
 
-func TestEncodeChunk64NoTraceZeroAllocs(t *testing.T) {
+func checkEncodeZeroAllocs64(t *testing.T, mode Mode) {
 	src := noTraceInput64()
-	p, err := NewParams(ABS, 1e-3, 0, true)
+	p, err := NewParams(mode, 1e-3, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +88,13 @@ func TestEncodeChunk64NoTraceZeroAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("EncodeChunk64 with nil recorder allocated %.1f times per op, want 0", allocs)
+		t.Fatalf("%v EncodeChunk64 with nil recorder allocated %.1f times per op, want 0", mode, allocs)
 	}
 }
 
-func TestDecodeChunk64NoTraceZeroAllocs(t *testing.T) {
+func checkDecodeZeroAllocs64(t *testing.T, mode Mode) {
 	src := noTraceInput64()
-	p, err := NewParams(ABS, 1e-3, 0, true)
+	p, err := NewParams(mode, 1e-3, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +110,7 @@ func TestDecodeChunk64NoTraceZeroAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("DecodeChunk64 with nil recorder allocated %.1f times per op, want 0", allocs)
+		t.Fatalf("%v DecodeChunk64 with nil recorder allocated %.1f times per op, want 0", mode, allocs)
 	}
 }
 

@@ -85,65 +85,94 @@ func (p *Params) decodeAbs32(w uint32) float32 {
 // numbers lead with zero bits (paper §III.B).
 func (p *Params) encodeRel32(v float32) uint32 {
 	bits := math.Float32bits(v)
+	if w, ok := relExact32(bits); ok {
+		return w
+	}
+	bin, ok := relBin(float64(p.log2(math.Abs(float64(v)))*p.invLogBin), f32RelBin)
+	if !ok {
+		return bits ^ f32RelXor
+	}
+	if p.SkipVerify {
+		return relWord32(bin, bits)
+	}
+	return p.relVerified32(bits, bin, p.exp2(float64(float64(bin)*p.logBin)))
+}
+
+// relVerified32 returns the word of bin for the value with bit pattern
+// bits if its reconstruction from e = exp2(bin*logBin) honors the bound,
+// and the value's lossless word otherwise.
+func (p *Params) relVerified32(bits uint32, bin int64, e float64) uint32 {
+	if !p.relVerify(math.Abs(float64(math.Float32frombits(bits))), float64(float32(e))) {
+		return bits ^ f32RelXor
+	}
+	return relWord32(bin, bits)
+}
+
+// relExact32 returns the word of a value the REL quantizer stores without a
+// bin, or exact = false for a finite nonzero value. NaN and Inf keep their
+// bits, except that negative NaNs are made positive to free their encoding
+// space for bin numbers; +-0 cannot be quantized in log space and take the
+// reserved payloads.
+func relExact32(bits uint32) (w uint32, exact bool) {
 	if bits&f32ExpMask == f32ExpMask {
 		if bits&f32MantMask != 0 {
-			// NaN: negative NaNs are made positive to free their encoding
-			// space for bin numbers.
 			bits &^= f32SignBit
 		}
-		return bits ^ f32RelXor
+		return bits ^ f32RelXor, true
 	}
-	if bits&^f32SignBit == 0 {
-		// +-0 cannot be quantized in log space; reserved payloads.
-		if bits == 0 {
-			return (f32RelXor | f32PosZero) ^ f32RelXor
-		}
-		return (f32RelXor | f32NegZero) ^ f32RelXor
+	switch bits {
+	case 0:
+		return (f32RelXor | f32PosZero) ^ f32RelXor, true
+	case f32SignBit:
+		return (f32RelXor | f32NegZero) ^ f32RelXor, true
 	}
-	neg := bits&f32SignBit != 0
-	mag := float64(v)
-	if neg {
-		mag = -mag
-	}
-	b := float64(p.log2(mag) * p.invLogBin)
-	if !(b < f32RelBin+0.5 && b > -(f32RelBin+0.5)) {
-		return bits ^ f32RelXor
-	}
-	bin := portmath.RoundToInt(b)
-	if !p.SkipVerify {
-		rmag := float32(p.exp2(float64(float64(bin) * p.logBin)))
-		r64 := float64(rmag)
-		// Verify with the exact arithmetic any auditor would use: the
-		// relative error |v-r|/|v| must not exceed eps, and r must keep the
-		// sign of v (r == 0 is rejected to preserve the sign requirement).
-		diff := mag - r64
-		if diff < 0 {
-			diff = -diff
-		}
-		if !(diff/mag <= p.Bound) || r64 == 0 || !isFinite64(r64) {
-			return bits ^ f32RelXor
-		}
-	}
+	return 0, false
+}
+
+// relWord32 packs bin and the sign of the value with bit pattern bits.
+func relWord32(bin int64, bits uint32) uint32 {
 	//pfpl:ignore intwidth payload is 2+2*|bin| with |bin| <= f32RelBin, far below 2^23
-	return (f32RelXor | uint32(relPayload(bin, neg))) ^ f32RelXor
+	return (f32RelXor | uint32(relPayload(bin, bits&f32SignBit != 0))) ^ f32RelXor
 }
 
 func (p *Params) decodeRel32(w uint32) float32 {
-	raw := w ^ f32RelXor
-	if raw&f32ExpMask == f32ExpMask && raw&f32SignBit != 0 && raw&f32MantMask != 0 {
-		payload := uint64(raw & f32MantMask)
-		switch payload {
-		case f32PosZero:
-			return 0
-		case f32NegZero:
-			return math.Float32frombits(f32SignBit)
-		}
-		bin, neg := relUnpayload(payload)
-		rmag := float32(p.exp2(float64(float64(bin) * p.logBin)))
-		if neg {
-			return -rmag
-		}
-		return rmag
+	pl := relBinPayload32(w)
+	if pl == 0 {
+		return relExactValue32(w)
 	}
-	return math.Float32frombits(raw)
+	bin, neg := relUnpayload(pl)
+	return relValue32(p.exp2(float64(float64(bin)*p.logBin)), neg)
+}
+
+// relBinPayload32 returns the payload of a REL word that carries a bin, or
+// 0 for a word that stores its value exactly: a bin lives in the negative-
+// NaN range (after the XOR) above the reserved payloads of +-0.
+func relBinPayload32(w uint32) uint64 {
+	raw := w ^ f32RelXor
+	if raw&^f32MantMask != f32SignBit|f32ExpMask || raw&f32MantMask < f32RelBase {
+		return 0
+	}
+	return uint64(raw & f32MantMask)
+}
+
+// relExactValue32 returns the value of a REL word without a bin payload.
+func relExactValue32(w uint32) float32 {
+	switch raw := w ^ f32RelXor; raw {
+	case f32SignBit | f32ExpMask | f32PosZero:
+		return 0
+	case f32SignBit | f32ExpMask | f32NegZero:
+		return math.Float32frombits(f32SignBit)
+	default:
+		return math.Float32frombits(raw)
+	}
+}
+
+// relValue32 rounds the reconstructed magnitude e = exp2(bin*logBin) to
+// single precision and gives it the value's sign.
+func relValue32(e float64, neg bool) float32 {
+	r := float32(e)
+	if neg {
+		return -r
+	}
+	return r
 }

@@ -66,59 +66,83 @@ func (p *Params) decodeAbs64(w uint64) float64 {
 
 func (p *Params) encodeRel64(v float64) uint64 {
 	bits := math.Float64bits(v)
+	if w, ok := relExact64(bits); ok {
+		return w
+	}
+	bin, ok := relBin(float64(p.log2(math.Abs(v))*p.invLogBin), f64RelBin)
+	if !ok {
+		return bits ^ f64RelXor
+	}
+	if p.SkipVerify {
+		return relWord64(bin, bits)
+	}
+	return p.relVerified64(bits, bin, p.exp2(float64(float64(bin)*p.logBin)))
+}
+
+// relVerified64 is the double-precision counterpart of relVerified32.
+func (p *Params) relVerified64(bits uint64, bin int64, e float64) uint64 {
+	if !p.relVerify(math.Abs(math.Float64frombits(bits)), e) {
+		return bits ^ f64RelXor
+	}
+	return relWord64(bin, bits)
+}
+
+// relExact64 is the double-precision counterpart of relExact32.
+func relExact64(bits uint64) (w uint64, exact bool) {
 	if bits&f64ExpMask == f64ExpMask {
 		if bits&f64MantMask != 0 {
 			bits &^= f64SignBit // negative NaN -> positive NaN
 		}
-		return bits ^ f64RelXor
+		return bits ^ f64RelXor, true
 	}
-	if bits&^f64SignBit == 0 {
-		if bits == 0 {
-			return (f64RelXor | f64PosZero) ^ f64RelXor
-		}
-		return (f64RelXor | f64NegZero) ^ f64RelXor
+	switch bits {
+	case 0:
+		return (f64RelXor | f64PosZero) ^ f64RelXor, true
+	case f64SignBit:
+		return (f64RelXor | f64NegZero) ^ f64RelXor, true
 	}
-	neg := bits&f64SignBit != 0
-	mag := v
-	if neg {
-		mag = -mag
-	}
-	b := float64(p.log2(mag) * p.invLogBin)
-	if !(b < f64RelBin+0.5 && b > -(f64RelBin+0.5)) {
-		return bits ^ f64RelXor
-	}
-	bin := portmath.RoundToInt(b)
-	if !p.SkipVerify {
-		rmag := p.exp2(float64(float64(bin) * p.logBin))
-		// Verify with the exact arithmetic any auditor would use (see the
-		// single-precision encoder for rationale).
-		diff := mag - rmag
-		if diff < 0 {
-			diff = -diff
-		}
-		if !(diff/mag <= p.Bound) || rmag == 0 || !isFinite64(rmag) {
-			return bits ^ f64RelXor
-		}
-	}
-	return (f64RelXor | relPayload(bin, neg)) ^ f64RelXor
+	return 0, false
+}
+
+// relWord64 packs bin and the sign of the value with bit pattern bits.
+func relWord64(bin int64, bits uint64) uint64 {
+	return (f64RelXor | relPayload(bin, bits&f64SignBit != 0)) ^ f64RelXor
 }
 
 func (p *Params) decodeRel64(w uint64) float64 {
-	raw := w ^ f64RelXor
-	if raw&f64ExpMask == f64ExpMask && raw&f64SignBit != 0 && raw&f64MantMask != 0 {
-		payload := raw & f64MantMask
-		switch payload {
-		case f64PosZero:
-			return 0
-		case f64NegZero:
-			return math.Float64frombits(f64SignBit)
-		}
-		bin, neg := relUnpayload(payload)
-		rmag := p.exp2(float64(float64(bin) * p.logBin))
-		if neg {
-			return -rmag
-		}
-		return rmag
+	pl := relBinPayload64(w)
+	if pl == 0 {
+		return relExactValue64(w)
 	}
-	return math.Float64frombits(raw)
+	bin, neg := relUnpayload(pl)
+	return relValue64(p.exp2(float64(float64(bin)*p.logBin)), neg)
+}
+
+// relBinPayload64 is the double-precision counterpart of relBinPayload32.
+func relBinPayload64(w uint64) uint64 {
+	raw := w ^ f64RelXor
+	if raw&^f64MantMask != f64SignBit|f64ExpMask || raw&f64MantMask < f64RelBase {
+		return 0
+	}
+	return raw & f64MantMask
+}
+
+// relExactValue64 is the double-precision counterpart of relExactValue32.
+func relExactValue64(w uint64) float64 {
+	switch raw := w ^ f64RelXor; raw {
+	case f64SignBit | f64ExpMask | f64PosZero:
+		return 0
+	case f64SignBit | f64ExpMask | f64NegZero:
+		return math.Float64frombits(f64SignBit)
+	default:
+		return math.Float64frombits(raw)
+	}
+}
+
+// relValue64 gives the reconstructed magnitude the value's sign.
+func relValue64(e float64, neg bool) float64 {
+	if neg {
+		return -e
+	}
+	return e
 }

@@ -221,6 +221,27 @@ const (
 	f64RelBase  = 3
 )
 
+// relBin rounds the log-space position b to its bin, or reports that the
+// bin's magnitude exceeds lim and does not fit the NaN payload.
+func relBin(b, lim float64) (bin int64, ok bool) {
+	if !(b < lim+0.5 && b > -(lim+0.5)) {
+		return 0, false
+	}
+	return portmath.RoundToInt(b), true
+}
+
+// relVerify checks a reconstruction r of the magnitude mag with the exact
+// arithmetic any auditor would use: the relative error |mag-r|/mag must not
+// exceed eps, and r must be finite and nonzero so that the value keeps its
+// sign.
+func (p *Params) relVerify(mag, r float64) bool {
+	diff := mag - r
+	if diff < 0 {
+		diff = -diff
+	}
+	return diff/mag <= p.Bound && r != 0 && isFinite64(r)
+}
+
 // relPayload packs (value sign, zigzagged bin) into a NaN mantissa payload.
 func relPayload(bin int64, negative bool) uint64 {
 	q := uint64(bin<<1) ^ uint64(bin>>63) // zigzag
