@@ -19,13 +19,13 @@ import (
 //
 //	pfpl serve -addr :8080 -max-inflight-bytes 268435456
 //
-// It serves POST /v1/compress, /v1/decompress, and /v1/batch (streamed
-// framed format), the /v1/objects store, GET /healthz, GET /metrics,
-// GET /v1/status (the operator snapshot `pfpl top` renders), and
-// GET /debug/traces (sampled request traces; -trace-sample, -trace-slow,
-// -trace-ring control what is kept). It drains gracefully on
-// SIGTERM/SIGINT: the listener closes, healthz flips to 503, and
-// in-flight requests get -drain-timeout to finish.
+// It serves POST /v1/compress and /v1/decompress (streamed framed format),
+// POST /v1/batch (one small field per request), the /v1/objects store,
+// GET /healthz, GET /metrics, GET /v1/status (the operator snapshot
+// `pfpl top` renders), and GET /debug/traces (sampled request traces;
+// -trace-sample, -trace-slow, -trace-ring control what is kept). It
+// drains gracefully on SIGTERM/SIGINT: the listener closes, healthz flips
+// to 503, and in-flight requests get -drain-timeout to finish.
 func serveMain(args []string) error {
 	fs := flag.NewFlagSet("pfpl serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
@@ -37,9 +37,6 @@ func serveMain(args []string) error {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget for in-flight requests")
 	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
 	quiet := fs.Bool("quiet", false, "disable per-request logging")
-	batchFields := fs.Int("batch-max-fields", 0, "flush a /v1/batch coalescing window at this many requests (0 = default)")
-	batchBytes := fs.Int64("batch-max-bytes", 0, "flush a /v1/batch window at this many summed raw bytes (0 = default)")
-	batchLinger := fs.Duration("batch-linger", 0, "how long the first /v1/batch request waits for company (0 = default; negative disables coalescing)")
 	traceSample := fs.Float64("trace-sample", 0.01, "fraction of requests recording a full trace into /debug/traces (0 disables tracing)")
 	traceSlow := fs.Duration("trace-slow", 0, "also retain any request slower than this, sampled or not (0 = off)")
 	traceRing := fs.Int("trace-ring", 0, "retained traces behind /debug/traces (0 = default)")
@@ -58,9 +55,6 @@ func serveMain(args []string) error {
 		RequestTimeout:   *reqTimeout,
 		EnablePprof:      *enablePprof,
 		Logger:           logger,
-		BatchMaxFields:   *batchFields,
-		BatchMaxBytes:    *batchBytes,
-		BatchLinger:      *batchLinger,
 		TraceSample:      *traceSample,
 		TraceSlow:        *traceSlow,
 		TraceRing:        *traceRing,

@@ -19,8 +19,8 @@ import (
 //
 // Each refresh redraws a one-screen summary: daemon identity and uptime,
 // the bounded resources (pipeline slots, admission budget, frame cache),
-// batching and tracing state, and a per-route RED table (requests, errors,
-// latency percentiles). -count 1 prints once and exits, which is also the
+// tracing state, and a per-route RED table (requests, errors, latency
+// percentiles). -count 1 prints once and exits, which is also the
 // scripting-friendly mode.
 func topMain(args []string) error {
 	fs := flag.NewFlagSet("pfpl top", flag.ExitOnError)
@@ -88,9 +88,6 @@ type daemonStatus struct {
 		IdleFrames int   `json:"idle_frames"`
 		Bytes      int64 `json:"bytes"`
 	} `json:"cache"`
-	Batch struct {
-		PendingFields int `json:"pending_fields"`
-	} `json:"batch"`
 	Traces struct {
 		Enabled  bool    `json:"enabled"`
 		Sampling float64 `json:"sampling"`
@@ -146,9 +143,8 @@ func renderStatus(st *daemonStatus, url string) string {
 		fmt.Fprintf(&b, " | drain %.2f ns/B", st.Admission.DrainNsPerByte)
 	}
 	b.WriteByte('\n')
-	fmt.Fprintf(&b, "cache %d frames (%d idle, %s) | batch %d pending",
-		st.Cache.Frames, st.Cache.IdleFrames, formatBytes(st.Cache.Bytes),
-		st.Batch.PendingFields)
+	fmt.Fprintf(&b, "cache %d frames (%d idle, %s)",
+		st.Cache.Frames, st.Cache.IdleFrames, formatBytes(st.Cache.Bytes))
 	if st.Traces.Enabled {
 		fmt.Fprintf(&b, " | traces %d/%d kept (sampling %g)",
 			st.Traces.Stored, st.Traces.Recorded, st.Traces.Sampling)

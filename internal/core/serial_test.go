@@ -274,8 +274,13 @@ func TestDecompressReusesDst(t *testing.T) {
 func TestHeaderRoundtrip(t *testing.T) {
 	// A count above 2^32 exercises the full 64-bit field; 2^33 keeps the
 	// chunk-size table at 16 MB (2^40 needed 2 GB, which the race
-	// detector's shadow memory turns into an out-of-memory kill).
-	h := Header{Mode: NOA, Prec64: true, Raw: true, Bound: 1e-5, NOARange: 123.5, Count: 1 << 33}
+	// detector's shadow memory turns into an out-of-memory kill). Where
+	// int is 32-bit, MaxElems is below 2^32 and caps the count instead.
+	count := uint64(1) << 33
+	if count > MaxElems {
+		count = MaxElems
+	}
+	h := Header{Mode: NOA, Prec64: true, Raw: true, Bound: 1e-5, NOARange: 123.5, Count: count}
 	h.NumChunks = numChunksFor(int(h.Count), h.chunkElems())
 	buf := AppendHeader(nil, &h)
 	// Patch: ParseHeader validates chunk count against Count, so we need

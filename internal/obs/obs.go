@@ -54,9 +54,6 @@ const (
 	StageAdmissionWait
 	// StageSlotWait is the time queued for a pipeline slot.
 	StageSlotWait
-	// StageLinger is the time a /v1/batch member waited in the coalescing
-	// window before its flush started.
-	StageLinger
 	// StageRead is request-body consumption (interleaved with codec work on
 	// the streaming endpoints; recorded as one span covering the read loop).
 	StageRead
@@ -70,7 +67,7 @@ const NumStages = int(numStages)
 
 var stageNames = [NumStages]string{
 	"quantize", "delta", "shuffle", "encode", "carry-wait", "emit", "decode",
-	"admission-wait", "slot-wait", "batch-linger", "read", "request",
+	"admission-wait", "slot-wait", "read", "request",
 }
 
 // String returns the stage's span name.

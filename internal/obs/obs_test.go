@@ -46,7 +46,6 @@ func TestStageNames(t *testing.T) {
 
 		StageAdmissionWait: "admission-wait",
 		StageSlotWait:      "slot-wait",
-		StageLinger:        "batch-linger",
 		StageRead:          "read",
 		StageRequest:       "request",
 	}

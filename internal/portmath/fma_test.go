@@ -30,7 +30,10 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for _, arch := range []string{"arm64", "ppc64le", "riscv64"} {
-		for _, pkg := range []string{"pfpl/internal/core", "pfpl/internal/portmath"} {
+		for _, pkg := range []string{
+			"pfpl/internal/core", "pfpl/internal/core/ref", "pfpl/internal/cpucomp",
+			"pfpl/internal/gpusim", "pfpl/internal/portmath",
+		} {
 			archive := filepath.Join(dir, arch+"_"+filepath.Base(pkg)+".a")
 			build := exec.Command(goTool, "build", "-o", archive, pkg)
 			build.Env = append(os.Environ(), "GOOS=linux", "GOARCH="+arch, "CGO_ENABLED=0")

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"fmt"
 	"math"
 	"net/http"
 	"sync"
@@ -30,18 +29,16 @@ func batchVals(n int, seed float64) []float32 {
 	return out
 }
 
-// TestBatchCoalescedByteIdentity: N concurrent /v1/batch requests coalesce
-// into one container, and each response is byte-identical to the same field
-// compressed alone — coalescing must be invisible in the bytes.
-func TestBatchCoalescedByteIdentity(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchLinger: 50 * time.Millisecond})
+// TestBatchConcurrentByteIdentity: N concurrent /v1/batch requests each get
+// the bytes the same field compresses to alone.
+func TestBatchConcurrentByteIdentity(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
 	const n = 8
 	fields := make([][]float32, n)
 	for i := range fields {
 		fields[i] = batchVals(1000, float64(i))
 	}
 	got := make([][]byte, n)
-	coalesced := make([]string, n)
 	var wg sync.WaitGroup
 	for i := range fields {
 		wg.Add(1)
@@ -55,33 +52,31 @@ func TestBatchCoalescedByteIdentity(t *testing.T) {
 			if resp.Header.Get("X-Pfpl-Digest") == "" {
 				t.Errorf("field %d: missing digest header", i)
 			}
+			if c := resp.Header.Get("X-Pfpl-Coalesced"); c != "1" {
+				t.Errorf("field %d: X-Pfpl-Coalesced = %q, want 1", i, c)
+			}
 			got[i] = body
-			coalesced[i] = resp.Header.Get("X-Pfpl-Coalesced")
 		}(i)
 	}
 	wg.Wait()
-	anyCoalesced := false
+	if t.Failed() {
+		t.FailNow()
+	}
 	for i := range fields {
 		want, err := pfpl.Compress32(fields[i], pfpl.Options{Mode: pfpl.ABS, Bound: 1e-3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got[i], want) {
-			t.Fatalf("field %d: coalesced response differs from uncoalesced compression", i)
+			t.Fatalf("field %d: response differs from pfpl.Compress32", i)
 		}
-		if coalesced[i] != "1" && coalesced[i] != "" {
-			anyCoalesced = true
-		}
-	}
-	if !anyCoalesced {
-		t.Log("no requests coalesced (scheduling); byte identity still verified")
 	}
 }
 
 // TestBatchChecksumByteIdentity: with checksum=1 each response carries the
-// same per-field CRC trailer an uncoalesced request would.
+// same CRC trailer pfpl.Compress32 with Checksum set appends.
 func TestBatchChecksumByteIdentity(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchLinger: -1})
+	_, ts := newTestServer(t, Config{})
 	vals := batchVals(500, 0)
 	resp, body := post(t, ts.URL+"/v1/batch?mode=abs&bound=1e-3&checksum=1", f32Body(vals))
 	if resp.StatusCode != http.StatusOK {
@@ -92,64 +87,17 @@ func TestBatchChecksumByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(body, want) {
-		t.Fatal("checksummed batch response differs from uncoalesced compression")
+		t.Fatal("checksummed batch response differs from pfpl.Compress32")
 	}
 	if _, err := pfpl.Decompress32(body, nil, pfpl.Options{}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestBatchLingerFlush: a lone request must not wait for a full window; the
-// linger deadline flushes it.
-func TestBatchLingerFlush(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchLinger: 5 * time.Millisecond, BatchMaxFields: 1000})
-	vals := batchVals(100, 0)
-	t0 := time.Now()
-	resp, body := post(t, ts.URL+"/v1/batch?mode=abs&bound=1e-3", f32Body(vals))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	if took := time.Since(t0); took > 3*time.Second {
-		t.Fatalf("lone request took %v; linger deadline did not flush", took)
-	}
-	if _, err := pfpl.Decompress32(body, nil, pfpl.Options{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBatchFieldCountFlush: the window flushes as soon as BatchMaxFields
-// requests are pending, without waiting out a long linger.
-func TestBatchFieldCountFlush(t *testing.T) {
-	const n = 4
-	_, ts := newTestServer(t, Config{BatchLinger: 10 * time.Second, BatchMaxFields: n})
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	t0 := time.Now()
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, body := post(t, ts.URL+"/v1/batch?mode=abs&bound=1e-3", f32Body(batchVals(200, float64(i))))
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, body)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("field %d: %v", i, err)
-		}
-	}
-	if took := time.Since(t0); took > 5*time.Second {
-		t.Fatalf("count-full window took %v; should flush on the %dth request", took, n)
 	}
 }
 
 // TestBatchBudgetExceeded: a request that cannot fit the admission budget
 // gets 429 + Retry-After (or 413 when it can never fit).
 func TestBatchBudgetExceeded(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxInflightBytes: 64, BatchLinger: -1})
+	_, ts := newTestServer(t, Config{MaxInflightBytes: 64})
 	resp, _ := post(t, ts.URL+"/v1/batch?mode=abs&bound=1e-3", f32Body(batchVals(1000, 0)))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413 (reservation larger than the whole budget)", resp.StatusCode)
@@ -157,7 +105,7 @@ func TestBatchBudgetExceeded(t *testing.T) {
 
 	// A budget that fits one request but not two: saturate it with a slow
 	// in-flight request, then expect 429 with Retry-After.
-	s2, ts2 := newTestServer(t, Config{MaxInflightBytes: 1 << 20, BatchLinger: -1})
+	s2, ts2 := newTestServer(t, Config{MaxInflightBytes: 1 << 20})
 	if err := s2.Admission().Acquire(1 << 20); err != nil {
 		t.Fatal(err)
 	}
@@ -171,32 +119,35 @@ func TestBatchBudgetExceeded(t *testing.T) {
 	}
 }
 
-// TestBatchCancelReleasesOnlyThatField: a canceled request leaves the
-// window, frees its own admission bytes, and the surviving members still
-// get correct responses.
+// TestBatchCancelReleasesOnlyThatField: a request canceled while it queues
+// behind a held pipeline slot hands back exactly its own admission bytes,
+// and a later request still gets correct bytes.
 func TestBatchCancelReleasesOnlyThatField(t *testing.T) {
-	s, ts := newTestServer(t, Config{BatchLinger: 300 * time.Millisecond, BatchMaxFields: 1000})
+	s, ts := newTestServer(t, Config{MaxConcurrent: 1})
 	survivor := batchVals(400, 1)
-	doomed := batchVals(400, 2)
+	doomed := f32Body(batchVals(400, 2))
 
+	// Hold the only slot so the doomed request queues after admission.
+	s.slots <- struct{}{}
 	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(1)
+	defer cancel()
 	canceledErr := make(chan error, 1)
 	go func() {
-		defer wg.Done()
 		req, _ := http.NewRequestWithContext(ctx, http.MethodPost,
-			ts.URL+"/v1/batch?mode=abs&bound=1e-3", bytes.NewReader(f32Body(doomed)))
-		_, err := http.DefaultClient.Do(req)
+			ts.URL+"/v1/batch?mode=abs&bound=1e-3", bytes.NewReader(doomed))
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
 		canceledErr <- err
 	}()
-	// Give the doomed request time to enter the window, then cancel it.
-	time.Sleep(50 * time.Millisecond)
+	waitInflight(t, s, 2*int64(len(doomed)))
 	cancel()
-	wg.Wait()
 	if err := <-canceledErr; err == nil {
 		t.Fatal("canceled request returned a response")
 	}
+	waitInflight(t, s, 0)
+	<-s.slots
 
 	resp, body := post(t, ts.URL+"/v1/batch?mode=abs&bound=1e-3", f32Body(survivor))
 	if resp.StatusCode != http.StatusOK {
@@ -207,13 +158,18 @@ func TestBatchCancelReleasesOnlyThatField(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(body, want) {
-		t.Fatal("survivor response differs after a neighbor canceled")
+		t.Fatal("survivor response differs after a canceled request")
 	}
-	// All admission bytes drain back once responses complete.
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Admission().Inflight() != 0 {
+	waitInflight(t, s, 0)
+}
+
+// waitInflight polls until the admission gate holds exactly want bytes.
+func waitInflight(t *testing.T, s *Server, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Admission().Inflight() != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("inflight bytes stuck at %d after cancellation", s.Admission().Inflight())
+			t.Fatalf("inflight bytes %d, want %d", s.Admission().Inflight(), want)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -221,7 +177,7 @@ func TestBatchCancelReleasesOnlyThatField(t *testing.T) {
 
 // TestBatchBadRequests covers parameter and body validation.
 func TestBatchBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchLinger: -1})
+	_, ts := newTestServer(t, Config{})
 	cases := []struct {
 		name string
 		url  string
@@ -243,9 +199,9 @@ func TestBatchBadRequests(t *testing.T) {
 	}
 }
 
-// TestBatchDoublePrecision exercises the f64 window end to end.
+// TestBatchDoublePrecision exercises the f64 path end to end.
 func TestBatchDoublePrecision(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchLinger: -1})
+	_, ts := newTestServer(t, Config{})
 	vals := make([]float64, 300)
 	for i := range vals {
 		vals[i] = math.Cos(float64(i) * 0.02)

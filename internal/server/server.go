@@ -21,6 +21,9 @@
 // deadlines propagate into the frame pipeline via StreamOptions.Context,
 // and every error-bound guarantee of the library holds on the served path
 // byte for byte (pinned by internal/conformance's served-path sweep).
+// POST /v1/batch is the one buffered endpoint: it takes one small field per
+// request and answers it with a single direct pfpl.Compress32/64 call under
+// the same two gates (see batch.go).
 //
 // Observability follows the life of a request (see telemetry.go): a
 // deterministic head sampler (Config.TraceSample) or an inbound W3C
@@ -98,22 +101,12 @@ type Config struct {
 	// X-Request-Id response header), method, path, status, response bytes,
 	// and duration.
 	Logger *slog.Logger
-	// BatchMaxFields flushes a pending /v1/batch coalescing window at this
-	// many requests (0 = DefaultBatchMaxFields).
-	BatchMaxFields int
-	// BatchMaxBytes flushes a pending /v1/batch window when the summed raw
-	// bodies reach this many bytes (0 = DefaultBatchMaxBytes).
-	BatchMaxBytes int64
-	// BatchLinger is how long the first /v1/batch request of a window waits
-	// for company before flushing (0 = DefaultBatchLinger; negative
-	// disables coalescing — every request flushes alone).
-	BatchLinger time.Duration
 	// TraceSample is the head-sampling rate in [0, 1] for per-request
 	// tracing: that fraction of requests records a full trace — HTTP phases
-	// (admission wait, slot wait, batch linger, body read) linked to the
-	// codec's own stage spans — retained in a bounded ring behind
-	// GET /debug/traces. 0 disables sampling entirely; the serve hot path
-	// then pays nothing for the tracing layer.
+	// (admission wait, slot wait, body read) linked to the codec's own
+	// stage spans — retained in a bounded ring behind GET /debug/traces.
+	// 0 disables sampling entirely; the serve hot path then pays nothing
+	// for the tracing layer.
 	TraceSample float64
 	// TraceSlow, when positive, promotes any request slower than this into
 	// the trace ring even when head sampling passed it by (with synthetic
@@ -137,7 +130,6 @@ type Server struct {
 	mux      *http.ServeMux
 	frames   *frameStore
 	objects  *objectStore
-	batch    *batcher
 	draining atomic.Bool
 	idBase   string // per-process random prefix for request ids
 	reqSeq   atomic.Uint64
@@ -168,7 +160,6 @@ func New(cfg Config) *Server {
 	}
 	s.frames = newFrameStore(s.adm, s)
 	s.objects = &objectStore{byName: make(map[string]*object)}
-	s.batch = newBatcher(s)
 	s.started = time.Now()
 	s.sampler = obs.NewSampler(cfg.TraceSample, cfg.TraceSlow)
 	if s.sampler.Enabled() || cfg.TraceSlow > 0 {

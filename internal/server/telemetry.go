@@ -123,16 +123,9 @@ type reqEvent struct {
 	bytesIn   int64
 	bytesOut  int64
 	ratio     float64
-	coalesced int
 
 	phases  [6]reqPhase
 	nPhases int
-
-	// Batch flush attribution, delivered by the flusher with the result.
-	flushRec   *obs.Recorder
-	flushStart time.Time
-	fieldIndex int
-	memberIDs  []string
 }
 
 type reqEventKey struct{}
@@ -181,12 +174,6 @@ func (ev *reqEvent) setBytes(in, out int64) {
 // lands in the wide event and /v1/status always, and additionally as a span
 // on the recorder's "http" track when the request is sampled.
 func (ev *reqEvent) phase(stage obs.Stage, from time.Time) {
-	ev.phaseUntil(stage, from, time.Now())
-}
-
-// phaseUntil is phase with an explicit end, for intervals measured by
-// another goroutine (the batch flusher's linger window).
-func (ev *reqEvent) phaseUntil(stage obs.Stage, from, until time.Time) {
 	if ev == nil {
 		return
 	}
@@ -194,7 +181,7 @@ func (ev *reqEvent) phaseUntil(stage obs.Stage, from, until time.Time) {
 	if startNS < 0 {
 		startNS = 0
 	}
-	durNS := until.Sub(from).Nanoseconds()
+	durNS := time.Since(from).Nanoseconds()
 	if durNS < 0 {
 		durNS = 0
 	}
@@ -325,10 +312,6 @@ func (s *Server) finishEvent(ev *reqEvent, sw *statusWriter, r *http.Request) {
 	if ev.rec != nil {
 		st := ev.rec.Stats()
 		chunks, rawChunks = st.Chunks, st.RawChunks
-		if fst := ev.flushRec.Stats(); fst.Chunks > 0 {
-			chunks += fst.Chunks
-			rawChunks += fst.RawChunks
-		}
 		if chunks > 0 {
 			s.reg.Counter("chunks.compressed").Add(chunks - rawChunks)
 			s.reg.Counter("chunks.raw").Add(rawChunks)
@@ -370,15 +353,11 @@ func (s *Server) finishEvent(ev *reqEvent, sw *statusWriter, r *http.Request) {
 		}{
 			{"admission_wait", obs.StageAdmissionWait},
 			{"slot_wait", obs.StageSlotWait},
-			{"linger", obs.StageLinger},
 			{"codec", obs.StageRead},
 		} {
 			if ns := ev.phaseNS(ph.stage); ns > 0 {
 				attrs = append(attrs, slog.Duration(ph.key, time.Duration(ns)))
 			}
-		}
-		if ev.coalesced > 0 {
-			attrs = append(attrs, slog.Int("coalesced", ev.coalesced))
 		}
 		if ev.sampled {
 			attrs = append(attrs, slog.Bool("sampled", true))
@@ -405,29 +384,24 @@ func (s *Server) finishEvent(ev *reqEvent, sw *statusWriter, r *http.Request) {
 }
 
 // buildTrace flattens one finished request into a stored trace. Sampled
-// requests contribute their recorder's spans (plus, for coalesced batch
-// members, the flush recorder's codec spans shifted onto the request's
-// clock); promoted requests get synthetic spans rebuilt from the measured
-// phases, so an error or slow request is never an empty timeline.
+// requests contribute their recorder's spans; promoted requests get
+// synthetic spans rebuilt from the measured phases, so an error or slow
+// request is never an empty timeline.
 func (s *Server) buildTrace(ev *reqEvent, status int, dur time.Duration, promoted string) *storedTrace {
 	st := &storedTrace{
-		ID:        ev.id,
-		TraceID:   ev.tc.TraceIDString(),
-		SpanID:    ev.tc.SpanIDString(),
-		Route:     routeNames[ev.route],
-		Mode:      ev.mode,
-		Start:     ev.start,
-		DurNS:     dur.Nanoseconds(),
-		Status:    status,
-		Sampled:   ev.sampled,
-		Promoted:  promoted,
-		BytesIn:   ev.bytesIn,
-		BytesOut:  ev.bytesOut,
-		Ratio:     ev.ratio,
-		Coalesced: ev.coalesced,
-	}
-	for i, id := range ev.memberIDs {
-		st.Members = append(st.Members, traceMember{Field: i, RequestID: id})
+		ID:       ev.id,
+		TraceID:  ev.tc.TraceIDString(),
+		SpanID:   ev.tc.SpanIDString(),
+		Route:    routeNames[ev.route],
+		Mode:     ev.mode,
+		Start:    ev.start,
+		DurNS:    dur.Nanoseconds(),
+		Status:   status,
+		Sampled:  ev.sampled,
+		Promoted: promoted,
+		BytesIn:  ev.bytesIn,
+		BytesOut: ev.bytesOut,
+		Ratio:    ev.ratio,
 	}
 	request := obs.Span{Dur: st.DurNS, Stage: obs.StageRequest}
 	if ev.rec != nil {
@@ -435,22 +409,6 @@ func (s *Server) buildTrace(ev *reqEvent, status int, dur time.Duration, promote
 		st.Tracks = ev.rec.TrackNames()
 		st.Spans = ev.rec.Spans()
 		st.Stats = ev.rec.Stats()
-		if ev.flushRec != nil {
-			// The flush recorder ran on its own clock starting at flushStart;
-			// shift its spans onto this request's timeline and remap its track
-			// ids past ours.
-			shift := ev.flushStart.Sub(ev.start).Nanoseconds()
-			//pfpl:ignore intwidth track count is bounded by traceSpanCap (2048) recorded spans
-			base := int32(len(st.Tracks))
-			for _, name := range ev.flushRec.TrackNames() {
-				st.Tracks = append(st.Tracks, "flush/"+name)
-			}
-			for _, sp := range ev.flushRec.Spans() {
-				sp.Start += shift
-				sp.Track += base
-				st.Spans = append(st.Spans, sp)
-			}
-		}
 		return st
 	}
 	st.Tracks = []string{"http"}
@@ -463,33 +421,24 @@ func (s *Server) buildTrace(ev *reqEvent, status int, dur time.Duration, promote
 
 // ---- trace ring ----
 
-// traceMember attributes one coalesced batch field to the request that
-// contributed it.
-type traceMember struct {
-	Field     int    `json:"field"`
-	RequestID string `json:"request_id"`
-}
-
 // storedTrace is one retained request trace, already flattened for export.
 type storedTrace struct {
-	ID        string        `json:"id"`
-	TraceID   string        `json:"trace_id"`
-	SpanID    string        `json:"span_id"`
-	Route     string        `json:"route"`
-	Mode      string        `json:"mode,omitempty"`
-	Start     time.Time     `json:"start"`
-	DurNS     int64         `json:"duration_ns"`
-	Status    int           `json:"status"`
-	Sampled   bool          `json:"sampled"`
-	Promoted  string        `json:"promoted,omitempty"`
-	BytesIn   int64         `json:"bytes_in,omitempty"`
-	BytesOut  int64         `json:"bytes_out,omitempty"`
-	Ratio     float64       `json:"ratio,omitempty"`
-	Coalesced int           `json:"coalesced,omitempty"`
-	Members   []traceMember `json:"members,omitempty"`
-	Tracks    []string      `json:"tracks"`
-	Spans     []obs.Span    `json:"-"`
-	Stats     obs.Stats     `json:"-"`
+	ID       string     `json:"id"`
+	TraceID  string     `json:"trace_id"`
+	SpanID   string     `json:"span_id"`
+	Route    string     `json:"route"`
+	Mode     string     `json:"mode,omitempty"`
+	Start    time.Time  `json:"start"`
+	DurNS    int64      `json:"duration_ns"`
+	Status   int        `json:"status"`
+	Sampled  bool       `json:"sampled"`
+	Promoted string     `json:"promoted,omitempty"`
+	BytesIn  int64      `json:"bytes_in,omitempty"`
+	BytesOut int64      `json:"bytes_out,omitempty"`
+	Ratio    float64    `json:"ratio,omitempty"`
+	Tracks   []string   `json:"tracks"`
+	Spans    []obs.Span `json:"-"`
+	Stats    obs.Stats  `json:"-"`
 }
 
 // traceRing retains the last N stored traces.
@@ -629,7 +578,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 
 // handleStatus answers a one-shot JSON snapshot of the daemon: identity and
 // uptime, the bounded resources (pool, slots, admission budget, dedup
-// cache), batching and tracing state, and per-route RED rollups. This is
+// cache), tracing state, and per-route RED rollups. This is
 // the polling surface behind `pfpl top`.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	type routeStatus struct {
@@ -683,9 +632,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			"frames":      cacheFrames,
 			"idle_frames": cacheIdle,
 			"bytes":       cacheBytes,
-		},
-		"batch": map[string]any{
-			"pending_fields": s.batch.pending(),
 		},
 		"traces": map[string]any{
 			"enabled":  s.traces != nil,

@@ -41,21 +41,17 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 
 // traceDoc is the /debug/traces?id= response shape the tests read.
 type traceDoc struct {
-	ID       string `json:"id"`
-	TraceID  string `json:"trace_id"`
-	Route    string `json:"route"`
-	Mode     string `json:"mode"`
-	Status   int    `json:"status"`
-	Sampled  bool   `json:"sampled"`
-	Promoted string `json:"promoted"`
-	BytesIn  int64  `json:"bytes_in"`
-	BytesOut int64  `json:"bytes_out"`
-	Members  []struct {
-		Field     int    `json:"field"`
-		RequestID string `json:"request_id"`
-	} `json:"members"`
-	Tracks []string `json:"tracks"`
-	Spans  []struct {
+	ID       string   `json:"id"`
+	TraceID  string   `json:"trace_id"`
+	Route    string   `json:"route"`
+	Mode     string   `json:"mode"`
+	Status   int      `json:"status"`
+	Sampled  bool     `json:"sampled"`
+	Promoted string   `json:"promoted"`
+	BytesIn  int64    `json:"bytes_in"`
+	BytesOut int64    `json:"bytes_out"`
+	Tracks   []string `json:"tracks"`
+	Spans    []struct {
 		Stage   string `json:"stage"`
 		Track   string `json:"track"`
 		StartNS int64  `json:"start_ns"`
@@ -264,16 +260,12 @@ func TestTraceparentInbound(t *testing.T) {
 	}
 }
 
-// TestBatchMemberAttribution pins the batch satellite and the coalesced
-// flush trace: each member of a coalesced batch gets its own X-Request-Id
-// echoed back (the caller's id when supplied), and a sampled member's trace
-// carries the flush's codec spans with every field attributed to the
-// request id that contributed it.
+// TestBatchMemberAttribution pins batch telemetry: each /v1/batch request
+// gets its own X-Request-Id echoed back (the caller's id when supplied),
+// each sampled request's own trace holds its codec spans, and the sampled
+// requests feed the bound audit and chunk-outcome counters.
 func TestBatchMemberAttribution(t *testing.T) {
-	cfg := tracedConfig()
-	cfg.BatchMaxFields = 2
-	cfg.BatchLinger = time.Second // the second member triggers the flush
-	_, ts := newTestServer(t, cfg)
+	_, ts := newTestServer(t, tracedConfig())
 
 	callerIDs := []string{"alice-17", "bob-42"}
 	gotIDs := make([]string, 2)
@@ -296,9 +288,6 @@ func TestBatchMemberAttribution(t *testing.T) {
 				t.Errorf("batch %d: %s", i, resp.Status)
 				return
 			}
-			if resp.Header.Get("X-Pfpl-Coalesced") != "2" {
-				t.Errorf("batch %d: coalesced = %q, want 2", i, resp.Header.Get("X-Pfpl-Coalesced"))
-			}
 			gotIDs[i] = resp.Header.Get("X-Request-Id")
 		}(i)
 	}
@@ -308,43 +297,30 @@ func TestBatchMemberAttribution(t *testing.T) {
 	}
 	for i, want := range callerIDs {
 		if gotIDs[i] != want {
-			t.Fatalf("member %d: response echoed X-Request-Id %q, want the caller's %q", i, gotIDs[i], want)
+			t.Fatalf("request %d: response echoed X-Request-Id %q, want the caller's %q", i, gotIDs[i], want)
 		}
 	}
 
-	// Each member's trace is one exportable timeline: its own HTTP phases
-	// (including the linger window) plus the shared flush's codec spans,
-	// with both members' request ids attributed to their fields.
+	// Each request's trace is one timeline: its own HTTP phases plus the
+	// codec spans of its own compression, with no merged flush tracks.
 	for i := 0; i < 2; i++ {
 		doc := fetchTrace(t, ts.URL, callerIDs[i])
-		if len(doc.Members) != 2 {
-			t.Fatalf("member %d: %d attributed fields, want 2", i, len(doc.Members))
-		}
-		attributed := map[string]bool{}
-		for _, m := range doc.Members {
-			attributed[m.RequestID] = true
-		}
-		for _, id := range callerIDs {
-			if !attributed[id] {
-				t.Fatalf("member %d: field attribution %v missing %q", i, doc.Members, id)
-			}
-		}
-		var sawLinger, sawFlushCodec bool
+		var sawCodec bool
 		for _, sp := range doc.Spans {
-			if sp.Stage == "batch-linger" {
-				sawLinger = true
+			if sp.Stage == "batch-linger" || strings.HasPrefix(sp.Track, "flush/") {
+				t.Fatalf("request %d: span %s on track %s belongs to a shared batch flush", i, sp.Stage, sp.Track)
 			}
-			if strings.HasPrefix(sp.Track, "flush/") && (sp.Stage == "encode" || sp.Stage == "emit") {
-				sawFlushCodec = true
+			if sp.Track != "http" && (sp.Stage == "encode" || sp.Stage == "emit") {
+				sawCodec = true
 			}
 		}
-		if !sawLinger || !sawFlushCodec {
-			t.Fatalf("member %d: linger span %v, flush codec spans %v — want both in one trace (tracks %v)",
-				i, sawLinger, sawFlushCodec, doc.Tracks)
+		if !sawCodec {
+			t.Fatalf("request %d: no codec spans in its trace (tracks %v)", i, doc.Tracks)
 		}
 	}
 
-	// The sampled flush round-trips each field against its bound.
+	// Each sampled request round-trips its field against its bound and
+	// tallies its chunk outcomes: one chunk per field here.
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -358,13 +334,19 @@ func TestBatchMemberAttribution(t *testing.T) {
 	if string(flat["audit.bound.pass"]) != "2" {
 		t.Fatalf("audit.bound.pass = %s, want 2 audited fields", flat["audit.bound.pass"])
 	}
+	var compressed, rawChunks int
+	json.Unmarshal(flat["chunks.compressed"], &compressed)
+	json.Unmarshal(flat["chunks.raw"], &rawChunks)
+	if compressed+rawChunks != 2 {
+		t.Fatalf("chunks.compressed %d + chunks.raw %d, want 2 tallied chunks", compressed, rawChunks)
+	}
 }
 
 // TestBatchEchoesCallerIDWithoutTelemetry pins the satellite's minimal
 // contract: even with the telemetry layer fully off, a /v1/batch response
 // still echoes a well-formed caller-supplied X-Request-Id.
 func TestBatchEchoesCallerIDWithoutTelemetry(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchLinger: -1})
+	_, ts := newTestServer(t, Config{})
 	body := f32LE(testValues32(256))
 	req, _ := http.NewRequest("POST", ts.URL+"/v1/batch?mode=abs&bound=1e-3", bytes.NewReader(body))
 	req.Header.Set("X-Request-Id", "caller-7")
