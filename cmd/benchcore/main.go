@@ -14,7 +14,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -141,11 +140,8 @@ func smoothWords64(n int) []uint64 {
 func shuffledBytes32() []byte {
 	words := smoothWords32(core.ChunkWords32)
 	core.DeltaNegaForward32(words)
-	core.BitShuffle32(words)
 	data := make([]byte, core.ChunkBytes)
-	for i, w := range words {
-		binary.LittleEndian.PutUint32(data[i*4:], w)
-	}
+	core.ShufflePack32(data, words)
 	return data
 }
 
@@ -198,6 +194,15 @@ func stageBenchmarks(budget time.Duration) ([]Result, []Speedup) {
 	pair("bit_shuffle/64", "shuffle", 64, "smooth", core.ChunkBytes,
 		func() { core.BitShuffle64(buf64) },
 		func() { ref.BitShuffle64(buf64) })
+	// The fused form the chunk codecs run: shuffle and little-endian pack
+	// in one pass.
+	packed := make([]byte, core.ChunkBytes)
+	pair("shuffle_pack/32", "shuffle", 32, "smooth", core.ChunkBytes,
+		func() { core.ShufflePack32(packed, buf32) },
+		func() { ref.ShufflePack32(packed, buf32) })
+	pair("shuffle_pack/64", "shuffle", 64, "smooth", core.ChunkBytes,
+		func() { core.ShufflePack64(packed, buf64) },
+		func() { ref.ShufflePack64(packed, buf64) })
 
 	// Stage 3: zero-byte elimination, on realistic sparse bytes and on the
 	// incompressible worst case.

@@ -50,13 +50,15 @@ func main() {
 		fmt.Printf("  %3d -> %s\n", d, bitsOf(nega[i], 8))
 	}
 
-	fmt.Println("\nStage 3 - bit shuffle (32x32 transpose; word k collects bit k of every residual):")
+	fmt.Println("\nStage 3 - bit shuffle (32x32 transpose; word k collects bit k of every residual),")
+	fmt.Println("          written straight to little-endian bytes:")
 	padded := make([]uint32, 32)
 	copy(padded, nega)
-	core.BitShuffle32(padded)
+	data := make([]byte, 128)
+	core.ShufflePack32(data, padded)
 	nonzero := 0
-	for k, w := range padded {
-		if w != 0 {
+	for k := range padded {
+		if w := binary.LittleEndian.Uint32(data[k*4:]); w != 0 {
 			fmt.Printf("  bit-plane %2d: %s\n", k, bitsOf(w, 8))
 			nonzero++
 		}
@@ -64,10 +66,6 @@ func main() {
 	fmt.Printf("  %d of 32 bit-planes are nonzero; the rest are all-zero words\n", nonzero)
 
 	fmt.Println("\nStage 4 - zero-byte elimination (bitmap of nonzero bytes + packed bytes):")
-	data := make([]byte, 128)
-	for i, w := range padded {
-		binary.LittleEndian.PutUint32(data[i*4:], w)
-	}
 	enc := core.ZeroElimEncode(data, nil)
 	nz := 0
 	for _, b := range data {

@@ -1,6 +1,7 @@
 package bits
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -121,6 +122,45 @@ func TestTranspose32Involution(t *testing.T) {
 		Transpose32(&a)
 		if a != orig {
 			t.Fatalf("transpose32 applied twice is not identity")
+		}
+	}
+}
+
+// TransposePairs32 on the little-endian pairing of 32 rows must equal
+// Transpose32 on the rows themselves.
+func TestTransposePairs32MatchesTranspose32(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 200; iter++ {
+		var a [32]uint32
+		switch iter % 3 {
+		case 0:
+			for i := range a {
+				a[i] = rng.Uint32()
+			}
+		case 1:
+			a[rng.Intn(32)] = 1 << uint(rng.Intn(32))
+		default:
+			for i := range a {
+				a[i] = 0xFFFFFFFF
+			}
+		}
+		var le [128]byte
+		for i, w := range a {
+			binary.LittleEndian.PutUint32(le[i*4:], w)
+		}
+		var x [16]uint64
+		for k := range x {
+			x[k] = binary.LittleEndian.Uint64(le[k*8:])
+		}
+		Transpose32(&a)
+		TransposePairs32(&x)
+		for k, w := range x {
+			binary.LittleEndian.PutUint64(le[k*8:], w)
+		}
+		for i, w := range a {
+			if got := binary.LittleEndian.Uint32(le[i*4:]); got != w {
+				t.Fatalf("iter %d row %d: pairs = %#x, Transpose32 = %#x", iter, i, got, w)
+			}
 		}
 	}
 }

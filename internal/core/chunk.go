@@ -56,7 +56,9 @@ func PaddedWords64(n int) int { return (n + 63) &^ 63 }
 // quantize + delta/negabinary + bit-shuffle + zero-elimination pipeline.
 // It returns the payload (aliasing s.out) and whether the chunk was stored
 // raw because compression would not have shrunk it (paper §III.E). The raw
-// payload holds the original, bit-exact IEEE values.
+// payload holds the original, bit-exact IEEE values. The shuffle writes its
+// little-endian bytes directly (ShufflePack32), so the shuffle span covers
+// the word-to-byte pack.
 //
 //pfpl:hotpath
 func EncodeChunk32(p *Params, src []float32, s *Scratch32) (payload []byte, raw bool) {
@@ -71,11 +73,8 @@ func EncodeChunk32(p *Params, src []float32, s *Scratch32) (payload []byte, raw 
 		s.words[i] = 0
 	}
 	t = rec.StageSpan(obs.StageDelta, s.Track, s.Unit, t)
-	BitShuffle32(s.words[:padded])
+	ShufflePack32(s.bytes[:], s.words[:padded])
 	t = rec.StageSpan(obs.StageShuffle, s.Track, s.Unit, t)
-	for i := 0; i < padded; i++ {
-		binary.LittleEndian.PutUint32(s.bytes[i*4:], s.words[i])
-	}
 	payload = ZeroElimEncodeScratch(s.bytes[:padded*4], s.out[:0], &s.zs)
 	if len(payload) >= n*4 {
 		// Incompressible: emit the original chunk data and flag it.
@@ -114,10 +113,7 @@ func DecodeChunk32(p *Params, payload []byte, raw bool, dst []float32, s *Scratc
 	if used != len(payload) {
 		return ErrCorrupt
 	}
-	for i := 0; i < padded; i++ {
-		s.words[i] = binary.LittleEndian.Uint32(s.bytes[i*4:])
-	}
-	BitShuffle32(s.words[:padded])
+	UnpackShuffle32(s.words[:padded], s.bytes[:])
 	DeltaNegaInverse32(s.words[:n])
 	p.DequantizeChunk32(dst, s.words[:n], &s.q)
 	rec.StageSpanOutcome(obs.StageDecode, s.Track, s.Unit, t, obs.OutcomeCompressed, int64(len(payload)), int64(n)*4)
@@ -140,11 +136,8 @@ func EncodeChunk64(p *Params, src []float64, s *Scratch64) (payload []byte, raw 
 		s.words[i] = 0
 	}
 	t = rec.StageSpan(obs.StageDelta, s.Track, s.Unit, t)
-	BitShuffle64(s.words[:padded])
+	ShufflePack64(s.bytes[:], s.words[:padded])
 	t = rec.StageSpan(obs.StageShuffle, s.Track, s.Unit, t)
-	for i := 0; i < padded; i++ {
-		binary.LittleEndian.PutUint64(s.bytes[i*8:], s.words[i])
-	}
 	payload = ZeroElimEncodeScratch(s.bytes[:padded*8], s.out[:0], &s.zs)
 	if len(payload) >= n*8 {
 		for i, v := range src {
@@ -182,10 +175,7 @@ func DecodeChunk64(p *Params, payload []byte, raw bool, dst []float64, s *Scratc
 	if used != len(payload) {
 		return ErrCorrupt
 	}
-	for i := 0; i < padded; i++ {
-		s.words[i] = binary.LittleEndian.Uint64(s.bytes[i*8:])
-	}
-	BitShuffle64(s.words[:padded])
+	UnpackShuffle64(s.words[:padded], s.bytes[:])
 	DeltaNegaInverse64(s.words[:n])
 	p.DequantizeChunk64(dst, s.words[:n], &s.q)
 	rec.StageSpanOutcome(obs.StageDecode, s.Track, s.Unit, t, obs.OutcomeCompressed, int64(len(payload)), int64(n)*8)

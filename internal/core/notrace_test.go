@@ -144,18 +144,24 @@ func TestZeroElimScratchNoTraceZeroAllocs(t *testing.T) {
 	}
 }
 
-// The word-parallel in-place word kernels must not allocate either — they
-// run inside the zero-alloc chunk codecs.
+// The word-parallel word kernels must not allocate either — they run
+// inside the zero-alloc chunk codecs. The shuffle-pack kernels' local
+// transpose blocks must stay on the stack.
 func TestWordKernelsZeroAllocs(t *testing.T) {
 	w32 := make([]uint32, ChunkWords32)
 	w64 := make([]uint64, ChunkWords64)
+	buf := make([]byte, ChunkBytes)
 	allocs := testing.AllocsPerRun(100, func() {
 		DeltaNegaForward32(w32)
 		DeltaNegaInverse32(w32)
 		BitShuffle32(w32)
+		ShufflePack32(buf, w32)
+		UnpackShuffle32(w32, buf)
 		DeltaNegaForward64(w64)
 		DeltaNegaInverse64(w64)
 		BitShuffle64(w64)
+		ShufflePack64(buf, w64)
+		UnpackShuffle64(w64, buf)
 	})
 	if allocs != 0 {
 		t.Fatalf("word kernels allocated %.1f times per op, want 0", allocs)

@@ -116,6 +116,55 @@ func BitShuffle64(a []uint64) {
 	}
 }
 
+// ShufflePack32 bit-shuffles a copy of src (BitShuffle32) and writes the
+// shuffled words to dst as little-endian bytes, one byte at a time.
+// len(src) must be a multiple of 32; src is left untouched.
+func ShufflePack32(dst []byte, src []uint32) {
+	words := append([]uint32(nil), src...)
+	BitShuffle32(words)
+	for i, w := range words {
+		for k := 0; k < 4; k++ {
+			dst[i*4+k] = byte(w >> (8 * k))
+		}
+	}
+}
+
+// UnpackShuffle32 inverts ShufflePack32: it assembles len(dst)
+// little-endian words from src and bit-shuffles them in place.
+func UnpackShuffle32(dst []uint32, src []byte) {
+	for i := range dst {
+		w := uint32(0)
+		for k := 0; k < 4; k++ {
+			w |= uint32(src[i*4+k]) << (8 * k)
+		}
+		dst[i] = w
+	}
+	BitShuffle32(dst)
+}
+
+// ShufflePack64 is the double-precision counterpart of ShufflePack32.
+func ShufflePack64(dst []byte, src []uint64) {
+	words := append([]uint64(nil), src...)
+	BitShuffle64(words)
+	for i, w := range words {
+		for k := 0; k < 8; k++ {
+			dst[i*8+k] = byte(w >> (8 * k))
+		}
+	}
+}
+
+// UnpackShuffle64 inverts ShufflePack64.
+func UnpackShuffle64(dst []uint64, src []byte) {
+	for i := range dst {
+		w := uint64(0)
+		for k := 0; k < 8; k++ {
+			w |= uint64(src[i*8+k]) << (8 * k)
+		}
+		dst[i] = w
+	}
+	BitShuffle64(dst)
+}
+
 // --- Stage 3: iterated zero-byte elimination ---
 
 // BuildZeroBitmap returns a bitmap with bit i set iff data[i] != 0.

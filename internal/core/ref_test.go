@@ -290,6 +290,76 @@ func TestDifferentialBitShuffle(t *testing.T) {
 	}
 }
 
+// shuffleMatrices returns the fused shuffle-pack corpora for n words of
+// the given width: random words, a single set bit, and all ones.
+func shuffleMatrices(n, width int, r *diffRNG) map[string][]uint64 {
+	mask := uint64(1)<<(width-1)<<1 - 1
+	random := make([]uint64, n)
+	single := make([]uint64, n)
+	ones := make([]uint64, n)
+	for i := range random {
+		random[i] = r.next() & mask
+		ones[i] = mask
+	}
+	single[r.next()%uint64(n)] = 1 << (r.next() % uint64(width))
+	return map[string][]uint64{"random": random, "single-bit": single, "all-ones": ones}
+}
+
+// The fused shuffle-pack kernels must produce the bytes of the reference
+// shuffle followed by a scalar little-endian pack at every padded length a
+// chunk can have, and the unpack must restore the words.
+func TestDifferentialShufflePack(t *testing.T) {
+	r := &diffRNG{state: 0x5AFE}
+	for n := 32; n <= ChunkWords32; n += 32 {
+		for name, m := range shuffleMatrices(n, 32, r) {
+			src := make([]uint32, n)
+			for i, w := range m {
+				src[i] = uint32(w)
+			}
+			orig := append([]uint32(nil), src...)
+			fast := bytes.Repeat([]byte{0xA5}, n*4)
+			slow := make([]byte, n*4)
+			ShufflePack32(fast, src)
+			ref.ShufflePack32(slow, src)
+			if !bytes.Equal(fast, slow) {
+				t.Fatalf("n=%d %s: ShufflePack32 fast != ref", n, name)
+			}
+			if !equalU32(src, orig) {
+				t.Fatalf("n=%d %s: ShufflePack32 modified its source", n, name)
+			}
+			back := make([]uint32, n)
+			backRef := make([]uint32, n)
+			UnpackShuffle32(back, fast)
+			ref.UnpackShuffle32(backRef, fast)
+			if !equalU32(back, backRef) || !equalU32(back, orig) {
+				t.Fatalf("n=%d %s: UnpackShuffle32 fast != ref or != source", n, name)
+			}
+		}
+	}
+	for n := 64; n <= ChunkWords64; n += 64 {
+		for name, src := range shuffleMatrices(n, 64, r) {
+			orig := append([]uint64(nil), src...)
+			fast := bytes.Repeat([]byte{0xA5}, n*8)
+			slow := make([]byte, n*8)
+			ShufflePack64(fast, src)
+			ref.ShufflePack64(slow, src)
+			if !bytes.Equal(fast, slow) {
+				t.Fatalf("n=%d %s: ShufflePack64 fast != ref", n, name)
+			}
+			if !equalU64(src, orig) {
+				t.Fatalf("n=%d %s: ShufflePack64 modified its source", n, name)
+			}
+			back := make([]uint64, n)
+			backRef := make([]uint64, n)
+			UnpackShuffle64(back, fast)
+			ref.UnpackShuffle64(backRef, fast)
+			if !equalU64(back, backRef) || !equalU64(back, orig) {
+				t.Fatalf("n=%d %s: UnpackShuffle64 fast != ref or != source", n, name)
+			}
+		}
+	}
+}
+
 func TestDifferentialZeroBitmap(t *testing.T) {
 	r := &diffRNG{state: 0x2E40}
 	for _, n := range edgeLens {

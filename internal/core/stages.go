@@ -159,6 +159,91 @@ func BitShuffle64(a []uint64) {
 	}
 }
 
+// ShufflePack32 bit-shuffles src like BitShuffle32 and writes the result
+// to dst as little-endian bytes in the same pass, leaving src untouched:
+// each 32-word group is loaded two rows to a 64-bit word, transposed by
+// bits.TransposePairs32 in registers, and stored eight bytes at a time.
+// len(src) must be a multiple of 32 and len(dst) at least 4*len(src).
+//
+//pfpl:kernel
+//pfpl:hotpath
+func ShufflePack32(dst []byte, src []uint32) {
+	dst = dst[:len(src)*4]
+	for i := 0; i+32 <= len(src); i += 32 {
+		g := (*[32]uint32)(src[i : i+32])
+		var x [16]uint64
+		for k := range x {
+			x[k] = uint64(g[2*k]) | uint64(g[2*k+1])<<32
+		}
+		bits.TransposePairs32(&x)
+		out := (*[128]byte)(dst[i*4 : i*4+128])
+		for k, w := range x {
+			binary.LittleEndian.PutUint64(out[k*8:], w)
+		}
+	}
+}
+
+// UnpackShuffle32 inverts ShufflePack32: it reads len(dst) little-endian
+// words from src eight bytes at a time, transposes each 32-word group in
+// registers, and writes the unshuffled words to dst. len(dst) must be a
+// multiple of 32 and len(src) at least 4*len(dst).
+//
+//pfpl:kernel
+//pfpl:hotpath
+func UnpackShuffle32(dst []uint32, src []byte) {
+	src = src[:len(dst)*4]
+	for i := 0; i+32 <= len(dst); i += 32 {
+		in := (*[128]byte)(src[i*4 : i*4+128])
+		var x [16]uint64
+		for k := range x {
+			x[k] = binary.LittleEndian.Uint64(in[k*8:])
+		}
+		bits.TransposePairs32(&x)
+		g := (*[32]uint32)(dst[i : i+32])
+		for k, w := range x {
+			g[2*k] = uint32(w) //pfpl:ignore intwidth deliberate split: the low half is row 2k
+			g[2*k+1] = uint32(w >> 32)
+		}
+	}
+}
+
+// ShufflePack64 is the double-precision counterpart of ShufflePack32: each
+// 64-word group is copied to a local block, transposed by bits.Transpose64
+// and stored as little-endian bytes. len(src) must be a multiple of 64 and
+// len(dst) at least 8*len(src).
+//
+//pfpl:kernel
+//pfpl:hotpath
+func ShufflePack64(dst []byte, src []uint64) {
+	dst = dst[:len(src)*8]
+	for i := 0; i+64 <= len(src); i += 64 {
+		x := *(*[64]uint64)(src[i : i+64])
+		bits.Transpose64(&x)
+		out := (*[512]byte)(dst[i*8 : i*8+512])
+		for k, w := range x {
+			binary.LittleEndian.PutUint64(out[k*8:], w)
+		}
+	}
+}
+
+// UnpackShuffle64 inverts ShufflePack64. len(dst) must be a multiple of 64
+// and len(src) at least 8*len(dst).
+//
+//pfpl:kernel
+//pfpl:hotpath
+func UnpackShuffle64(dst []uint64, src []byte) {
+	src = src[:len(dst)*8]
+	for i := 0; i+64 <= len(dst); i += 64 {
+		in := (*[512]byte)(src[i*8 : i*8+512])
+		var x [64]uint64
+		for k := range x {
+			x[k] = binary.LittleEndian.Uint64(in[k*8:])
+		}
+		bits.Transpose64(&x)
+		*(*[64]uint64)(dst[i : i+64]) = x
+	}
+}
+
 // Stage 3: zero-byte elimination (paper §III.D, Fig. 5). A bitmap marks the
 // nonzero bytes of the input; zero bytes are dropped. Because the bitmap is
 // substantial overhead, it is itself compressed through repeat-byte

@@ -134,11 +134,12 @@ func ablationRatio(src []float32, variant string) float64 {
 		for i := n; i < padded; i++ {
 			words[i] = 0
 		}
-		if variant != "no-shuffle" {
-			core.BitShuffle32(words[:padded])
-		}
-		for i := 0; i < padded; i++ {
-			binary.LittleEndian.PutUint32(bytesBuf[i*4:], words[i])
+		if variant == "no-shuffle" {
+			for i := 0; i < padded; i++ {
+				binary.LittleEndian.PutUint32(bytesBuf[i*4:], words[i])
+			}
+		} else {
+			core.ShufflePack32(bytesBuf, words[:padded])
 		}
 		var size int
 		if variant == "no-zeroelim" {
