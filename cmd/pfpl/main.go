@@ -25,9 +25,7 @@
 //
 // The serve subcommand runs the bounded-concurrency HTTP service (see
 // internal/server); top polls a running daemon's GET /v1/status into a
-// live per-route RED view. -metrics prints the batch run's
-// instrumentation — the same registry shape the service exposes at
-// /metrics — to stderr.
+// live per-route RED view.
 package main
 
 import (
@@ -46,7 +44,6 @@ import (
 	"pfpl"
 	"pfpl/internal/core"
 	"pfpl/internal/gpusim"
-	"pfpl/internal/server/metrics"
 )
 
 func main() {
@@ -79,8 +76,6 @@ func main() {
 	flag.IntVar(&cfg.streamWorkers, "stream-workers", 0, "frames compressed concurrently (0 = one per CPU)")
 	flag.BoolVar(&cfg.index, "index", false, "with -stream: append a seekable footer index to the stream")
 	flag.StringVar(&cfg.rng, "range", "", "with -d: decode only OFFSET:COUNT values (element units) via random access")
-	var withMetrics bool
-	flag.BoolVar(&withMetrics, "metrics", false, "print a JSON metrics summary of the run to stderr")
 	flag.StringVar(&cfg.trace, "trace", "", "write a Chrome trace-event JSON timeline of the run to this file (Perfetto-viewable); with -device gpu this is the modelled per-SM schedule")
 	flag.BoolVar(&cfg.stats, "stats", false, "print a per-stage span breakdown of the run to stderr")
 	flag.Parse()
@@ -88,14 +83,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if withMetrics {
-		cfg.reg = metrics.New()
-	}
-	err := run(cfg)
-	if cfg.reg != nil {
-		fmt.Fprint(os.Stderr, cfg.reg.String())
-	}
-	if err != nil {
+	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "pfpl:", err)
 		os.Exit(1)
 	}
@@ -115,25 +103,9 @@ type cliConfig struct {
 	streamWorkers int
 	index         bool
 	rng           string
-	reg           *metrics.Registry
 	trace         string
 	stats         bool
 	tracer        *pfpl.Tracer
-}
-
-// recordBatch feeds a batch run's numbers into the same metric names the
-// HTTP service exposes, so one dashboard reads both paths.
-func recordBatch(reg *metrics.Registry, op string, bytesIn, bytesOut int, dt time.Duration) {
-	if reg == nil {
-		return
-	}
-	reg.Counter("requests." + op + ".cli.ok").Add(1)
-	reg.Counter("bytes.in").Add(int64(bytesIn))
-	reg.Counter("bytes.out").Add(int64(bytesOut))
-	reg.Histogram("latency_ns." + op).Observe(float64(dt.Nanoseconds()))
-	if op == "compress" && bytesOut > 0 {
-		reg.Histogram("ratio.compress").Observe(float64(bytesIn) / float64(bytesOut))
-	}
 }
 
 func pickDevice(name string) (pfpl.Device, error) {
@@ -235,7 +207,6 @@ func run(cfg cliConfig) error {
 		if err := os.WriteFile(cfg.out, outBytes, 0o644); err != nil {
 			return err
 		}
-		recordBatch(cfg.reg, "decompress", len(data), len(outBytes), dt)
 		fmt.Printf("decompressed %d -> %d bytes in %v (%.2f GB/s, %s)\n",
 			len(data), len(outBytes), dt, float64(len(outBytes))/dt.Seconds()/1e9, dev.Name())
 		return finishObserve(cfg, nil)
@@ -276,7 +247,6 @@ func run(cfg cliConfig) error {
 	if err := os.WriteFile(cfg.out, comp, 0o644); err != nil {
 		return err
 	}
-	recordBatch(cfg.reg, "compress", rawLen, len(comp), dt)
 	fmt.Printf("compressed %d -> %d bytes (ratio %.2f) in %v (%.2f GB/s, %s)\n",
 		rawLen, len(comp), float64(rawLen)/float64(len(comp)), dt,
 		float64(rawLen)/dt.Seconds()/1e9, dev.Name())
@@ -375,7 +345,6 @@ func compressStream(cfg cliConfig, mode pfpl.Mode, data []byte) error {
 	if err := os.WriteFile(cfg.out, sink.Bytes(), 0o644); err != nil {
 		return err
 	}
-	recordBatch(cfg.reg, "compress", len(data), sink.Len(), dt)
 	fmt.Printf("streamed %d -> %d bytes (ratio %.2f) in %v (%.2f GB/s, %d workers)\n",
 		len(data), sink.Len(), float64(len(data))/float64(sink.Len()), dt,
 		float64(len(data))/dt.Seconds()/1e9, cfg.streamWorkers)
@@ -427,7 +396,6 @@ func decompressStream(cfg cliConfig, dev pfpl.Device, data []byte) error {
 	if err := os.WriteFile(cfg.out, outBytes, 0o644); err != nil {
 		return err
 	}
-	recordBatch(cfg.reg, "decompress", len(data), len(outBytes), dt)
 	fmt.Printf("decompressed framed stream %d -> %d bytes in %v (%.2f GB/s)\n",
 		len(data), len(outBytes), dt, float64(len(outBytes))/dt.Seconds()/1e9)
 	return finishObserve(cfg, nil)
@@ -486,7 +454,6 @@ func decompressRange(cfg cliConfig, data []byte) error {
 		if err := os.WriteFile(cfg.out, outBytes, 0o644); err != nil {
 			return err
 		}
-		recordBatch(cfg.reg, "decompress", len(data), len(outBytes), dt)
 		fmt.Printf("range [%d:%d) -> %d bytes in %v (read %d of %d stream bytes, %d frames, %d chunks)\n",
 			offset, offset+count, len(outBytes), dt, st.BytesRead, len(data), st.FramesTouched, st.ChunksDecoded)
 		return nil
@@ -515,7 +482,6 @@ func decompressRange(cfg cliConfig, data []byte) error {
 	if err := os.WriteFile(cfg.out, outBytes, 0o644); err != nil {
 		return err
 	}
-	recordBatch(cfg.reg, "decompress", len(data), len(outBytes), dt)
 	fmt.Printf("range [%d:%d) -> %d bytes in %v\n", offset, offset+count, len(outBytes), dt)
 	return nil
 }

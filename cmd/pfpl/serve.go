@@ -23,7 +23,7 @@ import (
 // POST /v1/batch (one small field per request), the /v1/objects store,
 // GET /healthz, GET /metrics, GET /v1/status (the operator snapshot
 // `pfpl top` renders), and GET /debug/traces (sampled request traces;
-// -trace-sample, -trace-slow, -trace-ring control what is kept). It
+// -trace-sample and -trace-slow control what is kept). It
 // drains gracefully on SIGTERM/SIGINT: the listener closes, healthz flips
 // to 503, and in-flight requests get -drain-timeout to finish.
 func serveMain(args []string) error {
@@ -39,7 +39,6 @@ func serveMain(args []string) error {
 	quiet := fs.Bool("quiet", false, "disable per-request logging")
 	traceSample := fs.Float64("trace-sample", 0.01, "fraction of requests recording a full trace into /debug/traces (0 disables tracing)")
 	traceSlow := fs.Duration("trace-slow", 0, "also retain any request slower than this, sampled or not (0 = off)")
-	traceRing := fs.Int("trace-ring", 0, "retained traces behind /debug/traces (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -57,7 +56,6 @@ func serveMain(args []string) error {
 		Logger:           logger,
 		TraceSample:      *traceSample,
 		TraceSlow:        *traceSlow,
-		TraceRing:        *traceRing,
 	})
 	defer srv.Close()
 	srv.Metrics().Publish("pfpl")

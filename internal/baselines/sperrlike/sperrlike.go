@@ -243,13 +243,19 @@ func Decompress[T number](buf []byte) ([]T, error) {
 		return nil, ErrCorrupt
 	}
 	bound := math.Float64frombits(binary.LittleEndian.Uint64(buf[5:]))
-	nz := int(binary.LittleEndian.Uint32(buf[13:]))
-	ny := int(binary.LittleEndian.Uint32(buf[17:]))
-	nx := int(binary.LittleEndian.Uint32(buf[21:]))
-	count := nz * ny * nx
-	if nz <= 0 || ny <= 0 || nx <= 0 || count > maxDecodeElems {
-		return nil, ErrCorrupt
+	// Validate the dims in uint64: their product, or a dim above MaxInt32,
+	// overflows a 32-bit int.
+	var dims [3]int
+	prod := uint64(1)
+	for i := range dims {
+		d := uint64(binary.LittleEndian.Uint32(buf[13+4*i:]))
+		if prod *= d; d == 0 || prod > maxDecodeElems {
+			return nil, ErrCorrupt
+		}
+		dims[i] = int(d)
 	}
+	nz, ny, nx := dims[0], dims[1], dims[2]
+	count := int(prod)
 	u := bound / 4
 	p := buf[25:]
 	if len(p) < 4 {

@@ -137,10 +137,20 @@ func parseHeader(buf []byte) (header, error) {
 	if count64 > maxDecodeElems {
 		return h, ErrCorrupt
 	}
-	h.count = int(count64)
+	// The dims must multiply to the count, checked in uint64: a dim above
+	// MaxInt32 would turn negative as a 32-bit int and index out of range.
+	prod := uint64(1)
 	for i := 0; i < nd; i++ {
-		h.dims = append(h.dims, int(binary.LittleEndian.Uint32(buf[32+4*i:])))
+		d := uint64(binary.LittleEndian.Uint32(buf[32+4*i:]))
+		if prod *= d; d > maxDecodeElems || prod > maxDecodeElems {
+			return h, ErrCorrupt
+		}
+		h.dims = append(h.dims, int(d))
 	}
+	if prod != count64 {
+		return h, ErrCorrupt
+	}
+	h.count = int(count64)
 	h.body = buf[need:]
 	return h, nil
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"pfpl"
 	"pfpl/internal/core"
@@ -31,53 +30,52 @@ const maxBatchFieldBytes = 16 << 20
 var errBatchTooLarge = errors.New("server: batch field exceeds the per-field byte cap")
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	x := s.enter(routeBatch, r)
 	p, err := parseParams(r, true)
 	if err != nil {
-		s.count("batch", p.modeName, "client_error")
+		x.done(outcomeClientError)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	if r.ContentLength > maxBatchFieldBytes {
-		s.count("batch", p.modeName, "too_large")
+		x.done(outcomeTooLarge)
 		http.Error(w, errBatchTooLarge.Error(), http.StatusRequestEntityTooLarge)
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchFieldBytes+1))
 	if err != nil {
-		s.count("batch", p.modeName, "client_error")
+		x.done(outcomeClientError)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	if int64(len(body)) > maxBatchFieldBytes {
-		s.count("batch", p.modeName, "too_large")
+		x.done(outcomeTooLarge)
 		http.Error(w, errBatchTooLarge.Error(), http.StatusRequestEntityTooLarge)
 		return
 	}
 	if len(body)%p.elemSize() != 0 {
-		s.count("batch", p.modeName, "client_error")
+		x.done(outcomeClientError)
 		http.Error(w, errBadBody.Error(), http.StatusBadRequest)
 		return
 	}
 
-	ev := eventFrom(r.Context())
-	ev.setParams(p.modeName, precisionName(p.double))
+	x.ev.setParams(p.modeName, precisionName(p.double))
 	// The telemetry wrapper echoes the caller's request id; without it a
 	// well-formed caller-supplied id is still echoed here, so batch clients
 	// can always correlate response to request.
-	if rid := r.Header.Get("X-Request-Id"); ev == nil && rid != "" && len(rid) <= maxRequestIDLen && isPrintableASCII(rid) {
+	if rid := r.Header.Get("X-Request-Id"); x.ev == nil && rid != "" && len(rid) <= maxRequestIDLen && isPrintableASCII(rid) {
 		w.Header().Set("X-Request-Id", rid)
 	}
 
 	// The raw field plus worst-case output, handed back when the response
 	// is done.
-	release, ok := s.admit(w, r, "batch", p.modeName, 2*int64(len(body)))
+	release, ok := s.admit(w, r, x, 2*int64(len(body)))
 	if !ok {
 		return
 	}
 	defer release()
 
-	t0 := time.Now()
-	opts := pfpl.Options{Mode: p.mode, Bound: p.bound, Device: s.dev, Checksum: p.checksum, Trace: ev.tracer()}
+	opts := pfpl.Options{Mode: p.mode, Bound: p.bound, Device: s.dev, Checksum: p.checksum, Trace: x.ev.tracer()}
 	var vals32 []float32
 	var vals64 []float64
 	var out []byte
@@ -91,10 +89,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		out, err = pfpl.Compress32(vals32, opts)
 	}
 	if err != nil {
-		s.finishError(w, "batch", p.modeName, false, err)
+		s.finishError(w, x, false, err)
 		return
 	}
-	if rec := ev.tracer(); rec != nil {
+	if rec := x.ev.tracer(); rec != nil {
 		// Sampled requests only: the chunk-table parse and the round trip
 		// are the costs head sampling exists to bound.
 		if chunks, raw, _, cerr := pfpl.ChunkOutcomes(out); cerr == nil {
@@ -102,7 +100,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.auditBound(p, vals32, vals64, out)
 	}
-	ev.setBytes(int64(len(body)), int64(len(out)))
+	x.ev.setBytes(int64(len(body)), int64(len(out)))
 	digest := core.FrameDigest(out)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
@@ -111,15 +109,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// clients and the benchmark's response check read it.
 	w.Header().Set("X-Pfpl-Coalesced", "1")
 	if _, err := w.Write(out); err != nil {
-		s.count("batch", p.modeName, "error")
+		x.done(outcomeError)
 		return
 	}
-	s.count("batch", p.modeName, "ok")
+	x.done(outcomeOK)
 	s.reg.Counter("bytes.in").Add(int64(len(body)))
 	s.reg.Counter("bytes.out").Add(int64(len(out)))
-	s.reg.Histogram("latency_ns.batch").Observe(float64(time.Since(t0).Nanoseconds()))
 	if len(out) > 0 {
-		s.observeRatio("ratio.batch", float64(len(body))/float64(len(out)), ev)
+		s.reg.Histogram("ratio.batch").ObserveExemplar(float64(len(body))/float64(len(out)), x.ev.exemplar())
 	}
 }
 

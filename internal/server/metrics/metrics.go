@@ -1,5 +1,5 @@
-// Package metrics is the expvar-backed instrumentation shared by the pfpl
-// serve daemon and the batch CLI. A Registry is a self-contained set of
+// Package metrics is the expvar-backed instrumentation of the pfpl serve
+// daemon. A Registry is a self-contained set of
 // named counters and histograms — nothing is registered globally, so tests
 // and embedded servers can hold as many registries as they like — that
 // renders to the same JSON shape the standard expvar handler emits, and can
@@ -33,7 +33,7 @@ func New() *Registry {
 }
 
 // Counter returns the counter with the given name, creating it on first
-// use. Names are dot-separated paths ("requests.compress.ok").
+// use. Names are dot-separated paths ("route.compress.ok").
 func (r *Registry) Counter(name string) *expvar.Int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -84,8 +84,7 @@ func (r *Registry) Do(fn func(name string, v expvar.Var)) {
 }
 
 // String renders the registry as one JSON object, metric name to metric
-// value, in name order — the format GET /metrics serves and the CLI's
-// -metrics flag prints.
+// value, in name order — the format GET /metrics serves.
 func (r *Registry) String() string {
 	var b strings.Builder
 	b.WriteString("{")
@@ -156,11 +155,12 @@ func bucketOf(v float64) int {
 	if !(v >= 1) { // v < 1 (including 0, negatives, -Inf)
 		return 0
 	}
-	e := math.Ilogb(v) + 1
-	if e >= histBuckets {
+	// Clamp before the +1: Ilogb(+Inf) is MaxInt32, which a 32-bit int overflows.
+	e := math.Ilogb(v)
+	if e >= histBuckets-1 {
 		return histBuckets - 1
 	}
-	return e
+	return e + 1
 }
 
 // Observe records one value. Every observation increments the count, but

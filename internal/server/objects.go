@@ -5,6 +5,7 @@ import (
 	"container/list"
 	"encoding/binary"
 	"errors"
+	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -40,8 +41,9 @@ type cachedFrame struct {
 
 // frameStore deduplicates frames by digest and owns the idle-frame LRU.
 type frameStore struct {
-	adm *Admission
-	s   *Server
+	adm   *Admission
+	s     *Server
+	bytes *expvar.Int // cache.bytes, the admission-charged bytes held
 
 	mu      sync.Mutex
 	entries map[[core.DigestSize]byte]*cachedFrame
@@ -52,6 +54,7 @@ func newFrameStore(adm *Admission, s *Server) *frameStore {
 	return &frameStore{
 		adm:     adm,
 		s:       s,
+		bytes:   s.reg.Counter("cache.bytes"),
 		entries: make(map[[core.DigestSize]byte]*cachedFrame),
 		idle:    list.New(),
 	}
@@ -63,10 +66,7 @@ func newFrameStore(adm *Admission, s *Server) *frameStore {
 func (fs *frameStore) stats() (frames, idleFrames int, bytes int64) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	for _, e := range fs.entries {
-		bytes += int64(len(e.data))
-	}
-	return len(fs.entries), fs.idle.Len(), bytes
+	return len(fs.entries), fs.idle.Len(), fs.bytes.Value()
 }
 
 // put interns data under digest and takes one reference. A present entry is
@@ -88,12 +88,11 @@ func (fs *frameStore) put(digest [core.DigestSize]byte, data []byte) error {
 	n := int64(len(data))
 	for fs.adm.Acquire(n) != nil {
 		if !fs.evictOldestLocked() {
-			fs.s.reg.Counter("cache.frames.rejected").Add(1)
 			return ErrSaturated
 		}
 	}
 	fs.s.reg.Counter("cache.frames.miss").Add(1)
-	fs.s.reg.Counter("cache.bytes").Add(n)
+	fs.bytes.Add(n)
 	fs.entries[digest] = &cachedFrame{data: bytes.Clone(data), refs: 1}
 	return nil
 }
@@ -138,7 +137,7 @@ func (fs *frameStore) evictOldestLocked() bool {
 	delete(fs.entries, digest)
 	fs.adm.Release(int64(len(e.data)), 0)
 	fs.s.reg.Counter("cache.frames.evicted").Add(1)
-	fs.s.reg.Counter("cache.bytes").Add(-int64(len(e.data)))
+	fs.bytes.Add(-int64(len(e.data)))
 	return true
 }
 
@@ -179,39 +178,39 @@ type objectStore struct {
 const maxObjectBytes = 1 << 30
 
 func (s *Server) handleObjectPut(w http.ResponseWriter, r *http.Request) {
+	x := s.enter(routeObjects, r)
 	name := r.PathValue("name")
 	if r.ContentLength < 0 {
-		s.count("objects.put", "any", "client_error")
+		x.done(outcomeClientError)
 		http.Error(w, "Content-Length required for object upload", http.StatusLengthRequired)
 		return
 	}
 	if r.ContentLength > maxObjectBytes {
-		s.count("objects.put", "any", "too_large")
+		x.done(outcomeTooLarge)
 		http.Error(w, "object exceeds the served size cap", http.StatusRequestEntityTooLarge)
 		return
 	}
 	// The upload buffer itself is charged to the budget for the duration of
 	// the request; the frames the store keeps are charged separately by put.
-	release, ok := s.admit(w, r, "objects.put", "any", r.ContentLength)
+	release, ok := s.admit(w, r, x, r.ContentLength)
 	if !ok {
 		return
 	}
 	defer release()
 	body := make([]byte, r.ContentLength)
 	if _, err := io.ReadFull(r.Body, body); err != nil {
-		s.count("objects.put", "any", "client_error")
+		x.done(outcomeClientError)
 		http.Error(w, "short body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	obj, frames, err := s.ingestObject(body)
 	if err != nil {
-		status := http.StatusBadRequest
-		outcome := "client_error"
+		o, status := outcomeClientError, http.StatusBadRequest
 		if errors.Is(err, ErrSaturated) {
-			status, outcome = http.StatusTooManyRequests, "saturated"
+			o, status = outcomeSaturated, http.StatusTooManyRequests
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.adm.RetryAfter(int64(len(body))))))
 		}
-		s.count("objects.put", "any", outcome)
+		x.done(o)
 		http.Error(w, err.Error(), status)
 		return
 	}
@@ -224,7 +223,7 @@ func (s *Server) handleObjectPut(w http.ResponseWriter, r *http.Request) {
 			s.frames.release(f.digest)
 		}
 	}
-	s.count("objects.put", "any", "ok")
+	x.done(outcomeOK)
 	s.reg.Counter("bytes.in").Add(int64(len(body)))
 	w.Header().Set("X-Pfpl-Frames", strconv.Itoa(frames))
 	w.Header().Set("X-Pfpl-Values", strconv.FormatInt(obj.values(), 10))
@@ -322,9 +321,10 @@ func (s *Server) lookupObject(name string) *object {
 }
 
 func (s *Server) handleObjectGet(w http.ResponseWriter, r *http.Request) {
+	x := s.enter(routeObjects, r)
 	obj := s.lookupObject(r.PathValue("name"))
 	if obj == nil {
-		s.count("objects.get", "any", "not_found")
+		x.done(outcomeNotFound)
 		http.Error(w, "no such object", http.StatusNotFound)
 		return
 	}
@@ -342,14 +342,14 @@ func (s *Server) handleObjectGet(w http.ResponseWriter, r *http.Request) {
 		var err error
 		offset, count, err = parseWindowQuery(q.Get("offset"), q.Get("count"), obj.values())
 		if err != nil {
-			s.count("objects.get", "any", "client_error")
+			x.done(outcomeClientError)
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 	} else if rng := r.Header.Get("Range"); rng != "" {
 		start, end, err := parseByteRange(rng, totalBytes)
 		if err != nil {
-			s.count("objects.get", "any", "client_error")
+			x.done(outcomeClientError)
 			w.Header().Set("Content-Range", "bytes */"+strconv.FormatInt(totalBytes, 10))
 			http.Error(w, err.Error(), http.StatusRequestedRangeNotSatisfiable)
 			return
@@ -375,11 +375,11 @@ func (s *Server) handleObjectGet(w http.ResponseWriter, r *http.Request) {
 			f := obj.frames[i]
 			frame, ok := s.frames.get(f.digest)
 			if !ok {
-				s.serveObjectError(w, false, errors.New("frame missing from cache"))
+				s.serveObjectError(w, x, false, errors.New("frame missing from cache"))
 				return
 			}
 			if core.FrameDigest(frame) != f.digest {
-				s.serveObjectError(w, false, errors.New("cached frame failed digest verification"))
+				s.serveObjectError(w, x, false, errors.New("cached frame failed digest verification"))
 				return
 			}
 			covering = append(covering, frame)
@@ -390,7 +390,7 @@ func (s *Server) handleObjectGet(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.FormatInt(count*elem-trimHead-trimTail, 10))
 	w.WriteHeader(status)
 	if r.Method == http.MethodHead || count == 0 {
-		s.count("objects.get", "any", "ok")
+		x.done(outcomeOK)
 		return
 	}
 
@@ -405,7 +405,7 @@ func (s *Server) handleObjectGet(w http.ResponseWriter, r *http.Request) {
 		if derr != nil {
 			// The status line is already out; aborting the connection is the
 			// only honest signal left (see finishError).
-			s.serveObjectError(w, true, derr)
+			s.serveObjectError(w, x, true, derr)
 			return
 		}
 		// Byte-range trims apply at the window's edges only.
@@ -416,14 +416,14 @@ func (s *Server) handleObjectGet(w http.ResponseWriter, r *http.Request) {
 			out = out[:int64(len(out))-trimTail]
 		}
 		if _, werr := w.Write(out); werr != nil {
-			s.count("objects.get", "any", "canceled")
+			x.done(outcomeCanceled)
 			return
 		}
 		sent += int64(len(out))
 		pos += localCnt
 		remaining -= localCnt
 	}
-	s.count("objects.get", "any", "ok")
+	x.done(outcomeOK)
 	s.reg.Counter("bytes.out").Add(sent)
 }
 
@@ -459,8 +459,8 @@ func (s *Server) decodeFrameRange(obj *object, frame []byte, localOff, localCnt 
 
 // serveObjectError reports a failure mid-GET: before any body bytes a clean
 // status goes out; after, the connection aborts (see finishError).
-func (s *Server) serveObjectError(w http.ResponseWriter, streamed bool, err error) {
-	s.count("objects.get", "any", "error")
+func (s *Server) serveObjectError(w http.ResponseWriter, x reqExit, streamed bool, err error) {
+	x.done(outcomeError)
 	if streamed {
 		abort()
 	}
@@ -468,20 +468,21 @@ func (s *Server) serveObjectError(w http.ResponseWriter, streamed bool, err erro
 }
 
 func (s *Server) handleObjectDelete(w http.ResponseWriter, r *http.Request) {
+	x := s.enter(routeObjects, r)
 	name := r.PathValue("name")
 	s.objects.mu.Lock()
 	obj := s.objects.byName[name]
 	delete(s.objects.byName, name)
 	s.objects.mu.Unlock()
 	if obj == nil {
-		s.count("objects.delete", "any", "not_found")
+		x.done(outcomeNotFound)
 		http.Error(w, "no such object", http.StatusNotFound)
 		return
 	}
 	for _, f := range obj.frames {
 		s.frames.release(f.digest)
 	}
-	s.count("objects.delete", "any", "ok")
+	x.done(outcomeOK)
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -41,7 +41,7 @@ func get(t *testing.T, url string, header http.Header) (*http.Response, string) 
 // header, with the query parameter winning.
 func TestMetricsNegotiation(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.Metrics().Counter("requests.compress.abs.ok").Add(3)
+	s.Metrics().Counter("route.compress.ok").Add(3)
 
 	resp, body := get(t, ts.URL+"/metrics", nil)
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
@@ -57,8 +57,8 @@ func TestMetricsNegotiation(t *testing.T) {
 		t.Fatalf("prometheus content type = %q", ct)
 	}
 	for _, want := range []string{
-		"# TYPE pfpl_requests_compress_abs_ok_total counter\n",
-		"pfpl_requests_compress_abs_ok_total 3\n",
+		"# TYPE pfpl_route_compress_ok_total counter\n",
+		"pfpl_route_compress_ok_total 3\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("prometheus body missing %q:\n%s", want, body)
@@ -69,7 +69,7 @@ func TestMetricsNegotiation(t *testing.T) {
 	if !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/plain") {
 		t.Fatalf("Accept text/plain answered %q", resp.Header.Get("Content-Type"))
 	}
-	if !strings.Contains(body, "pfpl_requests_compress_abs_ok_total") {
+	if !strings.Contains(body, "pfpl_route_compress_ok_total") {
 		t.Fatalf("Accept text/plain body not prometheus:\n%s", body)
 	}
 

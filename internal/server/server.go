@@ -25,15 +25,15 @@
 // request and answers it with a single direct pfpl.Compress32/64 call under
 // the same two gates (see batch.go).
 //
-// Observability follows the life of a request (see telemetry.go): a
+// Every handler ends in one exit helper (reqExit.done) that counts the
+// outcome and observes the latency in a fixed per-route table, which
+// GET /v1/status (the snapshot `pfpl top` renders) sums. Beyond that,
+// observability follows the life of a request (see telemetry.go): a
 // deterministic head sampler (Config.TraceSample) or an inbound W3C
-// traceparent selects requests that record a full trace — HTTP-layer
-// waits plus the codec spans of the executor that served them — into a
-// bounded ring behind GET /debug/traces; every request, sampled or not,
-// feeds per-route RED rollups surfaced by GET /v1/status (the snapshot
-// `pfpl top` renders) and emits one wide slog event when logging is on.
-// When no telemetry consumer is configured the wrapper is skipped
-// entirely, preserving the zero-allocation serve path.
+// traceparent selects requests that record a full trace into a bounded
+// ring behind GET /debug/traces, and every request emits one wide slog
+// event when logging is on. With neither configured the wrapper is
+// skipped entirely, preserving the zero-allocation serve path.
 package server
 
 import (
@@ -88,9 +88,6 @@ type Config struct {
 	// RequestTimeout is the per-request deadline enforced through context
 	// cancellation down to the frame pipeline (0 = none).
 	RequestTimeout time.Duration
-	// Metrics receives the server's instrumentation (nil = a fresh
-	// registry, retrievable via Metrics()).
-	Metrics *metrics.Registry
 	// EnablePprof mounts the net/http/pprof profiling handlers under
 	// GET /debug/pprof/. Off by default: the profile endpoints can stall a
 	// loaded process and belong behind deliberate opt-in (and, in any real
@@ -114,9 +111,6 @@ type Config struct {
 	// (5xx) requests are promoted unconditionally whenever the telemetry
 	// layer is active.
 	TraceSlow time.Duration
-	// TraceRing bounds the in-memory ring of retained traces
-	// (0 = DefaultTraceRing; only consulted when tracing is active).
-	TraceRing int
 }
 
 // Server is the HTTP service. Create with New, serve via ServeHTTP (it
@@ -135,7 +129,7 @@ type Server struct {
 	reqSeq   atomic.Uint64
 	sampler  *obs.Sampler
 	traces   *traceRing // nil when tracing is inactive
-	red      [numRoutes]redSet
+	served   [numServedRoutes]routeStats
 	started  time.Time
 }
 
@@ -147,15 +141,12 @@ func New(cfg Config) *Server {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 2 * runtime.GOMAXPROCS(0)
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.New()
-	}
 	s := &Server{
 		cfg:   cfg,
 		dev:   pfpl.NewCPUPool(cfg.Workers),
 		adm:   NewAdmission(cfg.MaxInflightBytes),
 		slots: make(chan struct{}, cfg.MaxConcurrent),
-		reg:   cfg.Metrics,
+		reg:   metrics.New(),
 		mux:   http.NewServeMux(),
 	}
 	s.frames = newFrameStore(s.adm, s)
@@ -163,19 +154,14 @@ func New(cfg Config) *Server {
 	s.started = time.Now()
 	s.sampler = obs.NewSampler(cfg.TraceSample, cfg.TraceSlow)
 	if s.sampler.Enabled() || cfg.TraceSlow > 0 {
-		ring := cfg.TraceRing
-		if ring <= 0 {
-			ring = DefaultTraceRing
-		}
-		s.traces = newTraceRing(ring)
+		s.traces = newTraceRing(traceRingSize)
 	}
-	for i := 0; i < numRoutes; i++ {
-		s.red[i] = redSet{
-			requests:     s.reg.Counter("route." + routeNames[i] + ".requests"),
-			errors:       s.reg.Counter("route." + routeNames[i] + ".errors"),
-			clientErrors: s.reg.Counter("route." + routeNames[i] + ".client_errors"),
-			latency:      s.reg.Histogram("route." + routeNames[i] + ".latency_ns"),
+	for i := range s.served {
+		st := &s.served[i]
+		for o := range st.outcomes {
+			st.outcomes[o] = s.reg.Counter("route." + routeNames[i] + "." + outcomeNames[o])
 		}
+		st.latency = s.reg.Histogram("route." + routeNames[i] + ".latency_ns")
 	}
 	var seed [4]byte
 	rand.Read(seed[:])
@@ -206,8 +192,8 @@ func New(cfg Config) *Server {
 // threshold) every request runs inside a reqEvent: it gets a request id
 // (the caller's X-Request-Id echoed when well-formed, generated otherwise),
 // a W3C trace context (continuing an inbound traceparent when present), one
-// wide-event log line on completion, per-route RED accounting, and — for
-// the sampled fraction plus promoted error/slow requests — a full trace in
+// wide-event log line on completion, and — for the sampled fraction plus
+// promoted error/slow requests — a full trace in
 // the /debug/traces ring. When the layer is inactive the mux dispatches
 // directly; that path is identical to a telemetry-free build.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -371,18 +357,36 @@ func (p reqParams) reserveBytes(contentLength int64) int64 {
 
 // ---- shared request plumbing ----
 
+// reqExit is one handler call's accounting; ev is nil with telemetry off.
+type reqExit struct {
+	st    *routeStats
+	ev    *reqEvent
+	start time.Time
+}
+
+// enter starts the accounting for a handler serving route.
+func (s *Server) enter(route int, r *http.Request) reqExit {
+	return reqExit{st: &s.served[route], ev: eventFrom(r.Context()), start: time.Now()}
+}
+
+// done counts the outcome and observes the latency since entry (with the
+// trace id as exemplar when sampled). Every handler path calls it once.
+func (x reqExit) done(o outcome) {
+	x.st.outcomes[o].Add(1)
+	x.st.latency.ObserveExemplar(float64(time.Since(x.start).Nanoseconds()), x.ev.exemplar())
+}
+
 // admit runs the admission and slot gates, returning a release func, or
-// writes the rejection response and returns false.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, op, mode string, reserve int64) (func(), bool) {
-	ev := eventFrom(r.Context())
+// ends the request through x with a rejection response and returns false.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, x reqExit, reserve int64) (func(), bool) {
 	tAdm := time.Now()
 	if err := s.adm.Acquire(reserve); err != nil {
 		switch {
 		case errors.Is(err, ErrTooLarge):
-			s.count(op, mode, "too_large")
+			x.done(outcomeTooLarge)
 			http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
 		default:
-			s.count(op, mode, "saturated")
+			x.done(outcomeSaturated)
 			// retryAfterSeconds clamps to >= 1: RetryAfter floors at a second
 			// today, but a "Retry-After: 0" from a future sub-second estimate
 			// would tell clients to hammer, so the render clamps too.
@@ -391,7 +395,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, op, mode string, 
 		}
 		return nil, false
 	}
-	ev.phase(obs.StageAdmissionWait, tAdm)
+	x.ev.phase(obs.StageAdmissionWait, tAdm)
 	t0 := time.Now()
 	select {
 	case s.slots <- struct{}{}:
@@ -399,11 +403,10 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, op, mode string, 
 		// Client gone while queued: hand back the budget without touching a
 		// pipeline slot.
 		s.adm.Release(reserve, 0)
-		s.count(op, mode, "canceled")
+		x.done(outcomeCanceled)
 		return nil, false
 	}
-	ev.phase(obs.StageSlotWait, t0)
-	s.reg.Histogram("latency_ns.slot_wait").Observe(float64(time.Since(t0).Nanoseconds()))
+	x.ev.phase(obs.StageSlotWait, t0)
 	released := false
 	return func() {
 		if released {
@@ -413,10 +416,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, op, mode string, 
 		<-s.slots
 		s.adm.Release(reserve, time.Since(t0))
 	}, true
-}
-
-func (s *Server) count(op, mode, outcome string) {
-	s.reg.Counter("requests." + op + "." + mode + "." + outcome).Add(1)
 }
 
 // requestContext applies the configured per-request deadline.
@@ -439,18 +438,21 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// ctxReader fails reads once the request context is done, threading the
-// deadline through the decode path (whose reader API is context-free).
+// ctxReader fails reads once the request context is done (the decode
+// path's reader API is context-free) and counts the bytes read.
 type ctxReader struct {
 	ctx context.Context
 	r   io.Reader
+	n   int64
 }
 
-func (c ctxReader) Read(p []byte) (int, error) {
+func (c *ctxReader) Read(p []byte) (int, error) {
 	if err := c.ctx.Err(); err != nil {
 		return 0, err
 	}
-	return c.r.Read(p)
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // abort reports a mid-stream failure after response bytes are already out:
@@ -461,14 +463,15 @@ func abort() { panic(http.ErrAbortHandler) }
 // ---- compress ----
 
 func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
+	x := s.enter(routeCompress, r)
 	p, err := parseParams(r, true)
 	if err != nil {
-		s.count("compress", p.modeName, "client_error")
+		x.done(outcomeClientError)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	reserve := p.reserveBytes(r.ContentLength)
-	release, ok := s.admit(w, r, "compress", p.modeName, reserve)
+	release, ok := s.admit(w, r, x, reserve)
 	if !ok {
 		return
 	}
@@ -476,8 +479,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 
-	ev := eventFrom(r.Context())
-	ev.setParams(p.modeName, precisionName(p.double))
+	x.ev.setParams(p.modeName, precisionName(p.double))
 	t0 := time.Now()
 	// Both directions stream: we keep reading the request body after the
 	// first response bytes go out, which HTTP/1.x forbids by default (the
@@ -490,7 +492,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	// A sampled request threads its recorder into the stream writer: codec
 	// stage spans (quantize/encode/emit per frame) land in the same trace as
 	// the HTTP phases, and the writer tallies per-chunk encode outcomes.
-	sopts := pfpl.StreamOptions{FrameValues: p.frame, Concurrency: 1, Context: ctx, Trace: ev.tracer()}
+	sopts := pfpl.StreamOptions{FrameValues: p.frame, Concurrency: 1, Context: ctx, Trace: x.ev.tracer()}
 	w.Header().Set("Content-Type", "application/octet-stream")
 
 	var bytesIn int64
@@ -503,18 +505,17 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	// The read phase is the whole body-processing loop: request reads and
 	// codec work interleave on the streamed path, so this is wall time of
 	// read+compress combined, not pure socket-read time.
-	ev.phase(obs.StageRead, t0)
-	ev.setBytes(bytesIn, cw.n)
+	x.ev.phase(obs.StageRead, t0)
+	x.ev.setBytes(bytesIn, cw.n)
 	s.reg.Counter("bytes.in").Add(bytesIn)
 	s.reg.Counter("bytes.out").Add(cw.n)
 	if werr != nil {
-		s.finishError(w, "compress", p.modeName, cw.n > 0, werr)
+		s.finishError(w, x, cw.n > 0, werr)
 		return
 	}
-	s.count("compress", p.modeName, "ok")
-	s.reg.Histogram("latency_ns.compress").Observe(float64(time.Since(t0).Nanoseconds()))
+	x.done(outcomeOK)
 	if cw.n > 0 {
-		s.observeRatio("ratio.compress", float64(bytesIn)/float64(cw.n), ev)
+		s.reg.Histogram("ratio.compress").ObserveExemplar(float64(bytesIn)/float64(cw.n), x.ev.exemplar())
 	}
 }
 
@@ -529,17 +530,16 @@ func precisionName(double bool) string {
 // finishError classifies a streaming failure. Before the first response
 // byte a clean status can still go out; after it, only a connection abort
 // tells the client the stream is incomplete.
-func (s *Server) finishError(w http.ResponseWriter, op, mode string, streamed bool, err error) {
-	outcome := "error"
-	status := http.StatusInternalServerError
+func (s *Server) finishError(w http.ResponseWriter, x reqExit, streamed bool, err error) {
+	o, status := outcomeError, http.StatusInternalServerError
 	switch {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		outcome, status = "canceled", http.StatusServiceUnavailable
+		o, status = outcomeCanceled, http.StatusServiceUnavailable
 	case errors.Is(err, pfpl.ErrCorrupt) || errors.Is(err, pfpl.ErrBadBound) ||
 		errors.Is(err, pfpl.ErrBoundSmall) || errors.Is(err, errBadBody):
-		outcome, status = "client_error", http.StatusBadRequest
+		o, status = outcomeClientError, http.StatusBadRequest
 	}
-	s.count(op, mode, outcome)
+	x.done(o)
 	if streamed {
 		abort()
 	}
@@ -562,7 +562,7 @@ func compressBody[T float32 | float64, W interface {
 		return 0, err
 	}
 	size := elemSize[T]()
-	in := ctxReader{ctx: ctx, r: body}
+	in := &ctxReader{ctx: ctx, r: body}
 	buf := make([]byte, sopts.FrameValues*size)
 	vals := make([]T, sopts.FrameValues)
 	var total int64
@@ -596,14 +596,15 @@ func compressBody[T float32 | float64, W interface {
 // ---- decompress ----
 
 func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
+	x := s.enter(routeDecompress, r)
 	p, err := parseParams(r, false)
 	if err != nil {
-		s.count("decompress", p.modeName, "client_error")
+		x.done(outcomeClientError)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	reserve := p.reserveBytes(r.ContentLength)
-	release, ok := s.admit(w, r, "decompress", "any", reserve)
+	release, ok := s.admit(w, r, x, reserve)
 	if !ok {
 		return
 	}
@@ -615,7 +616,8 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	// See handleCompress: the decode loop reads frames after response
 	// bytes have gone out.
 	_ = http.NewResponseController(w).EnableFullDuplex()
-	br := bufio.NewReaderSize(ctxReader{ctx: ctx, r: r.Body}, peekBytes)
+	body := &ctxReader{ctx: ctx, r: r.Body}
+	br := bufio.NewReaderSize(body, peekBytes)
 	// The first frame's container header names the stream's precision; peek
 	// it rather than trusting a client parameter. Stat needs the header and
 	// the chunk-size table, so peek generously: 64 KB covers the table of
@@ -623,25 +625,24 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	// room to spare. Peek returns what exists if the body is shorter.
 	peek, _ := br.Peek(peekBytes)
 	if len(peek) < framePrefix+containerHeaderLen {
-		s.count("decompress", "any", "client_error")
+		x.done(outcomeClientError)
 		http.Error(w, "body too short for a framed pfpl stream", http.StatusBadRequest)
 		return
 	}
 	info, err := pfpl.Stat(peek[framePrefix:])
 	if err != nil {
-		s.count("decompress", "any", "client_error")
+		x.done(outcomeClientError)
 		http.Error(w, fmt.Sprintf("first frame: %v", err), http.StatusBadRequest)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Pfpl-Precision", precisionName(info.Double))
 
-	ev := eventFrom(r.Context())
-	ev.setParams("any", precisionName(info.Double))
+	x.ev.setParams("any", precisionName(info.Double))
 	cw := &countingWriter{w: w}
 	// Options.Trace reaches the decode path too: a sampled decompression
 	// records per-chunk decode spans into the request's trace.
-	opts := pfpl.Options{Device: s.dev, Trace: ev.tracer()}
+	opts := pfpl.Options{Device: s.dev, Trace: x.ev.tracer()}
 	var bytesOut int64
 	var derr error
 	if info.Double {
@@ -649,16 +650,15 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	} else {
 		bytesOut, derr = decompressBody(pfpl.NewReader32(br, opts), cw, p.frame)
 	}
-	ev.phase(obs.StageRead, t0)
-	ev.setBytes(max(r.ContentLength, 0), bytesOut)
-	s.reg.Counter("bytes.in").Add(int64(r.ContentLength))
+	x.ev.phase(obs.StageRead, t0)
+	x.ev.setBytes(body.n, bytesOut)
+	s.reg.Counter("bytes.in").Add(body.n)
 	s.reg.Counter("bytes.out").Add(bytesOut)
 	if derr != nil {
-		s.finishError(w, "decompress", "any", cw.n > 0, derr)
+		s.finishError(w, x, cw.n > 0, derr)
 		return
 	}
-	s.count("decompress", "any", "ok")
-	s.reg.Histogram("latency_ns.decompress").Observe(float64(time.Since(t0).Nanoseconds()))
+	x.done(outcomeOK)
 }
 
 // Container framing constants mirrored from the library (the server peeks

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -475,7 +477,8 @@ func TestServeGracefulDrain(t *testing.T) {
 }
 
 // TestServeHealthzAndMetrics: healthz flips from 200 to 503 on drain, and
-// /metrics serves the registry with the request counters in place.
+// /metrics serves the registry with the per-route outcome table in place —
+// and only that table's routes — after a compress and a chunked decompress.
 func TestServeHealthzAndMetrics(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -488,13 +491,22 @@ func TestServeHealthzAndMetrics(t *testing.T) {
 	}
 
 	// One successful compress, then the counters must show it.
-	resp, body := post(t, ts.URL+"/v1/compress?bound=1e-3", f32LE(testValues32(100)))
+	raw := f32LE(testValues32(100))
+	resp, comp := post(t, ts.URL+"/v1/compress?bound=1e-3", raw)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compress: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("compress: status %d: %s", resp.StatusCode, comp)
 	}
-	resp, body = post(t, ts.URL+"/v1/decompress", body)
+	// A reader of unknown length makes the client send the body chunked,
+	// with no Content-Length: bytes.in must count the bytes consumed.
+	resp, err = http.Post(ts.URL+"/v1/decompress", "application/octet-stream",
+		io.MultiReader(bytes.NewReader(comp)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("decompress: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("chunked decompress: status %d", resp.StatusCode)
 	}
 	resp, metricsBody := func() (*http.Response, []byte) {
 		r, err := http.Get(ts.URL + "/metrics")
@@ -509,17 +521,35 @@ func TestServeHealthzAndMetrics(t *testing.T) {
 		t.Fatalf("metrics: status %d", resp.StatusCode)
 	}
 	for _, want := range []string{
-		`"requests.compress.abs.ok": 1`,
-		`"requests.decompress.any.ok": 1`,
-		`"latency_ns.compress"`,
+		`"route.compress.ok": 1`,
+		`"route.decompress.ok": 1`,
+		`"route.compress.latency_ns"`,
 		`"ratio.compress"`,
 	} {
 		if !bytes.Contains(metricsBody, []byte(want)) {
 			t.Fatalf("metrics output missing %q:\n%s", want, metricsBody)
 		}
 	}
-	if got := s.Metrics().Counter("requests.compress.abs.ok").Value(); got != 1 {
+	var flat map[string]json.RawMessage
+	if err := json.Unmarshal(metricsBody, &flat); err != nil {
+		t.Fatalf("metrics JSON: %v", err)
+	}
+	for name := range flat {
+		route, isRoute := strings.CutPrefix(name, "route.")
+		served := false
+		for _, r := range routeNames[:numServedRoutes] {
+			served = served || strings.HasPrefix(route, r+".")
+		}
+		if strings.HasPrefix(name, "requests.") || strings.HasPrefix(name, "latency_ns.") ||
+			name == "cache.frames.rejected" || (isRoute && !served) {
+			t.Errorf("/metrics lists %q, which nothing should feed", name)
+		}
+	}
+	if got := s.Metrics().Counter("route.compress.ok").Value(); got != 1 {
 		t.Fatalf("registry counter = %d, want 1", got)
+	}
+	if got, want := s.Metrics().Counter("bytes.in").Value(), int64(len(raw)+len(comp)); got != want {
+		t.Fatalf("bytes.in = %d, want %d (compress body + chunked decompress body)", got, want)
 	}
 
 	s.SetDraining()

@@ -17,21 +17,17 @@ import (
 )
 
 // The request-telemetry layer: per-request trace sampling, the wide-event
-// log line, per-route RED rollups, the bounded ring of recent traces behind
-// /debug/traces, and the /v1/status snapshot.
-//
-// Everything here is opt-in by configuration. When no Logger is set and the
-// sampler is disabled, ServeHTTP dispatches straight to the mux — the PR 9
-// fast path, byte for byte — so a daemon run with -trace-sample=0 and
-// -quiet pays nothing for this file existing. When active, the always-on
-// work per request is one reqEvent allocation, a handful of time.Now calls
-// at phase boundaries, and pre-interned counter increments; a full trace
-// recorder is only allocated for the sampled fraction (plus error/slow
-// requests promoted after the fact from the already-measured phases).
+// log line, the bounded ring of recent traces behind /debug/traces, and the
+// /v1/status snapshot. The wrapper is opt-in by configuration: with no
+// Logger and the sampler disabled, ServeHTTP dispatches straight to the
+// mux. When active, the always-on work per request is one reqEvent
+// allocation and a handful of time.Now calls at phase boundaries; a full
+// trace recorder is only allocated for the sampled fraction (plus
+// error/slow requests promoted after the fact from the already-measured
+// phases).
 
-// DefaultTraceRing is the bound on retained traces when tracing is enabled
-// and Config.TraceRing is zero.
-const DefaultTraceRing = 64
+// traceRingSize bounds the retained traces when tracing is enabled.
+const traceRingSize = 64
 
 // traceSpanCap bounds the span ring of one sampled request's recorder:
 // enough for the HTTP phases plus per-frame (streaming) or per-chunk
@@ -41,9 +37,9 @@ const traceSpanCap = 2048
 
 // ---- routes ----
 
-// Route indices for the RED rollups. Derived from the method-independent
-// path prefix, never from client-controlled strings, so metric cardinality
-// is fixed at compile time.
+// Route indices, derived from the path prefix and never from
+// client-controlled strings. Routes below numServedRoutes have handlers
+// that feed the outcome table; all of them label log lines and traces.
 const (
 	routeCompress = iota
 	routeDecompress
@@ -56,6 +52,8 @@ const (
 	routeDebug
 	routeOther
 	numRoutes
+
+	numServedRoutes = routeObjects + 1
 )
 
 var routeNames = [numRoutes]string{
@@ -87,14 +85,29 @@ func routeOf(path string) int {
 	return routeOther
 }
 
-// redSet is one route's pre-interned RED instruments. Interned at New so
-// the per-request path is pure pointer chasing — no name formatting, no
-// registry lock, no allocation.
-type redSet struct {
-	requests     *expvar.Int
-	errors       *expvar.Int
-	clientErrors *expvar.Int
-	latency      *metrics.Histogram
+// outcome is how a served request ended, commented with its status.
+type outcome int
+
+const (
+	outcomeOK          outcome = iota // 2xx
+	outcomeClientError                // 400, 411, 416
+	outcomeTooLarge                   // 413
+	outcomeSaturated                  // 429
+	outcomeCanceled                   // 503, or the client left first
+	outcomeNotFound                   // 404
+	outcomeError                      // 500
+	numOutcomes
+)
+
+var outcomeNames = [numOutcomes]string{
+	"ok", "client_error", "too_large", "saturated", "canceled", "not_found", "error",
+}
+
+// routeStats is one served route's instruments, interned at New so a
+// handler's exit formats no name and takes no registry lock.
+type routeStats struct {
+	outcomes [numOutcomes]*expvar.Int
+	latency  *metrics.Histogram
 }
 
 // ---- per-request event ----
@@ -141,8 +154,14 @@ func eventFrom(ctx context.Context) *reqEvent {
 	return ev
 }
 
-// isSampled reports whether this request carries a trace recorder.
-func (ev *reqEvent) isSampled() bool { return ev != nil && ev.sampled }
+// exemplar is the tag for this request's histogram observations: its
+// trace id when sampled, else "" (ObserveExemplar then only observes).
+func (ev *reqEvent) exemplar() string {
+	if ev == nil || !ev.sampled {
+		return ""
+	}
+	return ev.tc.TraceIDString()
+}
 
 // tracer returns the recorder codec calls should record into (nil unless
 // sampled — the codec's nil fast path then costs nothing).
@@ -211,16 +230,6 @@ func (ev *reqEvent) phaseNS(stage obs.Stage) int64 {
 	return total
 }
 
-// observeRatio records a compression-ratio observation, tagging it with the
-// request's trace id as an exemplar when sampled.
-func (s *Server) observeRatio(name string, ratio float64, ev *reqEvent) {
-	if ev.isSampled() {
-		s.reg.Histogram(name).ObserveExemplar(ratio, ev.tc.TraceIDString())
-		return
-	}
-	s.reg.Histogram(name).Observe(ratio)
-}
-
 // ---- ServeHTTP integration ----
 
 // telemetryActive reports whether ServeHTTP wraps requests in the telemetry
@@ -285,26 +294,12 @@ func (s *Server) beginEvent(r *http.Request) *reqEvent {
 	return ev
 }
 
-// finishEvent closes out one request: RED rollups, codec-effectiveness
-// counters, the wide-event log line, and the trace ring (sampled requests
-// always; error/slow requests promoted with synthetic phase spans).
+// finishEvent closes out one request: codec-effectiveness counters, the
+// wide-event log line, and the trace ring (sampled requests always;
+// error/slow requests promoted with synthetic phase spans).
 func (s *Server) finishEvent(ev *reqEvent, sw *statusWriter, r *http.Request) {
 	dur := time.Since(ev.start)
 	status := sw.status()
-
-	red := &s.red[ev.route]
-	red.requests.Add(1)
-	switch {
-	case status >= 500:
-		red.errors.Add(1)
-	case status >= 400:
-		red.clientErrors.Add(1)
-	}
-	if ev.sampled {
-		red.latency.ObserveExemplar(float64(dur.Nanoseconds()), ev.tc.TraceIDString())
-	} else {
-		red.latency.Observe(float64(dur.Nanoseconds()))
-	}
 
 	// Chunk-mode counters cover the sampled fraction only: the tally costs a
 	// chunk-table parse per frame, which unsampled requests must not pay.
@@ -578,8 +573,8 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 
 // handleStatus answers a one-shot JSON snapshot of the daemon: identity and
 // uptime, the bounded resources (pool, slots, admission budget, dedup
-// cache), tracing state, and per-route RED rollups. This is
-// the polling surface behind `pfpl top`.
+// cache), tracing state, and per-route RED rollups summed from the outcome
+// table. This is the polling surface behind `pfpl top`.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	type routeStatus struct {
 		Requests     int64   `json:"requests"`
@@ -590,20 +585,23 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		MeanMs       float64 `json:"mean_ms"`
 	}
 	routes := make(map[string]routeStatus)
-	for i := 0; i < numRoutes; i++ {
-		red := &s.red[i]
-		if red.requests.Value() == 0 {
+	for i := range s.served {
+		var rs routeStatus
+		for o := outcomeOK; o < numOutcomes; o++ {
+			n := s.served[i].outcomes[o].Value()
+			rs.Requests += n
+			if o == outcomeError || o == outcomeCanceled {
+				rs.Errors += n
+			} else if o != outcomeOK {
+				rs.ClientErrors += n
+			}
+		}
+		if rs.Requests == 0 {
 			continue
 		}
-		snap := red.latency.Snapshot()
-		routes[routeNames[i]] = routeStatus{
-			Requests:     red.requests.Value(),
-			Errors:       red.errors.Value(),
-			ClientErrors: red.clientErrors.Value(),
-			P50Ms:        snap.Quantile(0.5) / 1e6,
-			P99Ms:        snap.Quantile(0.99) / 1e6,
-			MeanMs:       snap.Mean() / 1e6,
-		}
+		snap := s.served[i].latency.Snapshot()
+		rs.P50Ms, rs.P99Ms, rs.MeanMs = snap.Quantile(0.5)/1e6, snap.Quantile(0.99)/1e6, snap.Mean()/1e6
+		routes[routeNames[i]] = rs
 	}
 	cacheFrames, cacheIdle, cacheBytes := s.frames.stats()
 	stored, total := 0, uint64(0)

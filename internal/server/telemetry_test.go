@@ -74,7 +74,7 @@ func fetchTrace(t *testing.T, base, id string) traceDoc {
 func TestTraceSampledCompress(t *testing.T) {
 	_, ts := newTestServer(t, tracedConfig())
 	body := f32LE(testValues32(4096))
-	resp, _ := post(t, ts.URL+"/v1/compress?mode=abs&bound=1e-3", body)
+	resp, comp := post(t, ts.URL+"/v1/compress?mode=abs&bound=1e-3", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compress: %s", resp.Status)
 	}
@@ -93,6 +93,18 @@ func TestTraceSampledCompress(t *testing.T) {
 	}
 	if doc.BytesIn != int64(len(body)) || doc.BytesOut <= 0 {
 		t.Fatalf("trace bytes %d -> %d, want in = %d and out > 0", doc.BytesIn, doc.BytesOut, len(body))
+	}
+	// The stream posted back chunked (no Content-Length): the decompress
+	// trace records the bytes it consumed.
+	dresp, err := http.Post(ts.URL+"/v1/decompress", "application/octet-stream",
+		io.MultiReader(bytes.NewReader(comp)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, dresp.Body)
+	dresp.Body.Close()
+	if ddoc := fetchTrace(t, ts.URL, dresp.Header.Get("X-Request-Id")); ddoc.BytesIn != int64(len(comp)) || ddoc.BytesOut != int64(len(body)) {
+		t.Fatalf("chunked decompress trace bytes %d -> %d, want %d -> %d", ddoc.BytesIn, ddoc.BytesOut, len(comp), len(body))
 	}
 	stages := map[string]int{}
 	httpTrack := map[string]bool{}
@@ -365,50 +377,66 @@ func TestBatchEchoesCallerIDWithoutTelemetry(t *testing.T) {
 }
 
 // TestStatusSnapshot pins /v1/status: after traffic it reports the bounded
-// resources and per-route RED rollups an operator (or pfpl top) reads.
+// resources and per-route RED rollups an operator (or pfpl top) reads, and
+// the rollups are the same whether the telemetry layer is on or off.
 func TestStatusSnapshot(t *testing.T) {
-	_, ts := newTestServer(t, tracedConfig())
-	body := f32LE(testValues32(1024))
-	if resp, _ := post(t, ts.URL+"/v1/compress?mode=abs&bound=1e-3", body); resp.StatusCode != http.StatusOK {
-		t.Fatalf("compress: %s", resp.Status)
-	}
-	if resp, _ := post(t, ts.URL+"/v1/compress?mode=abs", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad compress: %s, want 400", resp.Status)
-	}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		traced bool
+	}{
+		{"traced", tracedConfig(), true},
+		{"telemetry-off", Config{}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, tc.cfg)
+			body := f32LE(testValues32(1024))
+			if resp, _ := post(t, ts.URL+"/v1/compress?mode=abs&bound=1e-3", body); resp.StatusCode != http.StatusOK {
+				t.Fatalf("compress: %s", resp.Status)
+			}
+			if resp, _ := post(t, ts.URL+"/v1/compress?mode=abs", nil); resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("bad compress: %s, want 400", resp.Status)
+			}
 
-	var st struct {
-		Status        string  `json:"status"`
-		UptimeSeconds float64 `json:"uptime_seconds"`
-		PoolWorkers   int     `json:"pool_workers"`
-		Slots         struct {
-			Max int `json:"max"`
-		} `json:"slots"`
-		Admission struct {
-			BudgetBytes int64 `json:"budget_bytes"`
-		} `json:"admission"`
-		Traces struct {
-			Enabled  bool   `json:"enabled"`
-			Recorded uint64 `json:"recorded"`
-		} `json:"traces"`
-		Routes map[string]struct {
-			Requests     int64   `json:"requests"`
-			ClientErrors int64   `json:"client_errors"`
-			P50Ms        float64 `json:"p50_ms"`
-		} `json:"routes"`
-	}
-	getJSON(t, ts.URL+"/v1/status", &st)
-	if st.Status != "ok" || st.UptimeSeconds <= 0 || st.PoolWorkers != 2 {
-		t.Fatalf("status = %+v", st)
-	}
-	if st.Slots.Max <= 0 || st.Admission.BudgetBytes != DefaultMaxInflightBytes {
-		t.Fatalf("resource snapshot = %+v", st)
-	}
-	if !st.Traces.Enabled || st.Traces.Recorded == 0 {
-		t.Fatalf("traces = %+v, want enabled with recordings", st.Traces)
-	}
-	red, ok := st.Routes["compress"]
-	if !ok || red.Requests != 2 || red.ClientErrors != 1 || red.P50Ms <= 0 {
-		t.Fatalf("compress RED = %+v (present %v), want 2 requests, 1 client error, positive p50", red, ok)
+			var st struct {
+				Status        string  `json:"status"`
+				UptimeSeconds float64 `json:"uptime_seconds"`
+				PoolWorkers   int     `json:"pool_workers"`
+				Slots         struct {
+					Max int `json:"max"`
+				} `json:"slots"`
+				Admission struct {
+					BudgetBytes int64 `json:"budget_bytes"`
+				} `json:"admission"`
+				Traces struct {
+					Enabled  bool   `json:"enabled"`
+					Recorded uint64 `json:"recorded"`
+				} `json:"traces"`
+				Routes map[string]struct {
+					Requests     int64   `json:"requests"`
+					ClientErrors int64   `json:"client_errors"`
+					P50Ms        float64 `json:"p50_ms"`
+				} `json:"routes"`
+			}
+			getJSON(t, ts.URL+"/v1/status", &st)
+			wantWorkers := s.dev.Workers() // one per CPU for the zero Config
+			if tc.cfg.Workers > 0 {
+				wantWorkers = tc.cfg.Workers
+			}
+			if st.Status != "ok" || st.UptimeSeconds <= 0 || st.PoolWorkers != wantWorkers {
+				t.Fatalf("status = %+v", st)
+			}
+			if st.Slots.Max <= 0 || st.Admission.BudgetBytes != DefaultMaxInflightBytes {
+				t.Fatalf("resource snapshot = %+v", st)
+			}
+			if st.Traces.Enabled != tc.traced || (tc.traced && st.Traces.Recorded == 0) {
+				t.Fatalf("traces = %+v, want enabled=%v with recordings when enabled", st.Traces, tc.traced)
+			}
+			red, ok := st.Routes["compress"]
+			if !ok || red.Requests != 2 || red.ClientErrors != 1 || red.P50Ms <= 0 {
+				t.Fatalf("compress RED = %+v (present %v), want 2 requests, 1 client error, positive p50", red, ok)
+			}
+		})
 	}
 }
 
