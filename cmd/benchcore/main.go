@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"pfpl"
+	"pfpl/internal/bits"
 	"pfpl/internal/core"
 	"pfpl/internal/core/ref"
 )
@@ -109,28 +110,16 @@ func stageResult(name, stage, impl string, precision int, dataset string, bytesP
 	return r
 }
 
-// smoothWords32 are quantized bins of a smooth field — the shape the delta
+// smoothWords are quantized bins of a smooth field — the shape the delta
 // stage sees in production.
-func smoothWords32(n int) []uint32 {
-	p, err := core.NewParams(core.ABS, 1e-3, 0, false)
+func smoothWords[F core.Float, W bits.Word](n int, bound float64) []W {
+	p, err := core.NewParams(core.ABS, bound, 0, core.IsPrec64[F]())
 	if err != nil {
 		panic(err)
 	}
-	out := make([]uint32, n)
+	out := make([]W, n)
 	for i := range out {
-		out[i] = p.EncodeValue32(float32(math.Sin(float64(i) * 0.01)))
-	}
-	return out
-}
-
-func smoothWords64(n int) []uint64 {
-	p, err := core.NewParams(core.ABS, 1e-6, 0, true)
-	if err != nil {
-		panic(err)
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = p.EncodeValue64(math.Sin(float64(i) * 0.01))
+		out[i] = core.EncodeValue[F, W](&p, F(math.Sin(float64(i)*0.01)))
 	}
 	return out
 }
@@ -138,8 +127,8 @@ func smoothWords64(n int) []uint64 {
 // shuffledBytes32 pushes smooth quantized words through delta+shuffle and
 // serializes them — the realistic sparse input of the zero-elim stage.
 func shuffledBytes32() []byte {
-	words := smoothWords32(core.ChunkWords32)
-	core.DeltaNegaForward32(words)
+	words := smoothWords[float32, uint32](core.ChunkWords32, 1e-3)
+	core.DeltaNegaForward(words)
 	data := make([]byte, core.ChunkBytes)
 	core.ShufflePack32(data, words)
 	return data
@@ -171,21 +160,21 @@ func stageBenchmarks(budget time.Duration) ([]Result, []Speedup) {
 	}
 
 	// Stage 1: delta + negabinary.
-	w32 := smoothWords32(core.ChunkWords32)
+	w32 := smoothWords[float32, uint32](core.ChunkWords32, 1e-3)
 	buf32 := make([]uint32, len(w32))
 	pair("delta_nega_forward/32", "delta", 32, "smooth", core.ChunkBytes,
-		func() { copy(buf32, w32); core.DeltaNegaForward32(buf32) },
-		func() { copy(buf32, w32); ref.DeltaNegaForward32(buf32) })
+		func() { copy(buf32, w32); core.DeltaNegaForward(buf32) },
+		func() { copy(buf32, w32); ref.DeltaNegaForward(buf32) })
 	resid32 := append([]uint32(nil), w32...)
-	core.DeltaNegaForward32(resid32)
+	core.DeltaNegaForward(resid32)
 	pair("delta_nega_inverse/32", "delta", 32, "smooth", core.ChunkBytes,
-		func() { copy(buf32, resid32); core.DeltaNegaInverse32(buf32) },
-		func() { copy(buf32, resid32); ref.DeltaNegaInverse32(buf32) })
-	w64 := smoothWords64(core.ChunkWords64)
+		func() { copy(buf32, resid32); core.DeltaNegaInverse(buf32) },
+		func() { copy(buf32, resid32); ref.DeltaNegaInverse(buf32) })
+	w64 := smoothWords[float64, uint64](core.ChunkWords64, 1e-6)
 	buf64 := make([]uint64, len(w64))
 	pair("delta_nega_forward/64", "delta", 64, "smooth", core.ChunkBytes,
-		func() { copy(buf64, w64); core.DeltaNegaForward64(buf64) },
-		func() { copy(buf64, w64); ref.DeltaNegaForward64(buf64) })
+		func() { copy(buf64, w64); core.DeltaNegaForward(buf64) },
+		func() { copy(buf64, w64); ref.DeltaNegaForward(buf64) })
 
 	// Stage 2: bit shuffle.
 	pair("bit_shuffle/32", "shuffle", 32, "smooth", core.ChunkBytes,

@@ -5,13 +5,14 @@ import (
 	"math"
 	"time"
 
+	"pfpl/internal/bits"
 	"pfpl/internal/core"
 	"pfpl/internal/sdrbench"
 )
 
-// Quantizer rows: the chunk kernels (Params.QuantizeChunk32/64,
-// DequantizeChunk32/64, impl "chunk") against the per-value
-// EncodeValue*/DecodeValue* loop they replaced (impl "per_value"), per mode
+// Quantizer rows: the chunk kernels (core.QuantizeChunk and
+// core.DequantizeChunk, impl "chunk") against the per-value
+// EncodeValue/DecodeValue loop they replaced (impl "per_value"), per mode
 // and precision. The dataset is the first chunk of every ScaleSmall SDRBench
 // file of the precision, quantized chunk by chunk as the chunk codecs do:
 // REL 1e-3, and ABS 1e-3 times each chunk's value range — the bounds of the
@@ -24,45 +25,18 @@ type quantChunk[F core.Float] struct {
 	abs, rel core.Params
 }
 
-// quantPrec binds one precision's quantizer entry points.
-type quantPrec[F core.Float, W uint32 | uint64] struct {
-	bits       int
-	chunk      func(p *core.Params, w []W, src []F, q *core.QuantScratch)
-	perValue   func(p *core.Params, w []W, src []F)
-	dechunk    func(p *core.Params, dst []F, w []W, q *core.QuantScratch)
-	dePerValue func(p *core.Params, dst []F, w []W)
+// perValue is the per-value quantize loop the chunk kernel replaced.
+func perValue[F core.Float, W bits.Word](p *core.Params, w []W, src []F) {
+	for i, v := range src {
+		w[i] = core.EncodeValue[F, W](p, v)
+	}
 }
 
-var quant32 = quantPrec[float32, uint32]{
-	bits:  32,
-	chunk: (*core.Params).QuantizeChunk32,
-	perValue: func(p *core.Params, w []uint32, src []float32) {
-		for i, v := range src {
-			w[i] = p.EncodeValue32(v)
-		}
-	},
-	dechunk: (*core.Params).DequantizeChunk32,
-	dePerValue: func(p *core.Params, dst []float32, w []uint32) {
-		for i, x := range w {
-			dst[i] = p.DecodeValue32(x)
-		}
-	},
-}
-
-var quant64 = quantPrec[float64, uint64]{
-	bits:  64,
-	chunk: (*core.Params).QuantizeChunk64,
-	perValue: func(p *core.Params, w []uint64, src []float64) {
-		for i, v := range src {
-			w[i] = p.EncodeValue64(v)
-		}
-	},
-	dechunk: (*core.Params).DequantizeChunk64,
-	dePerValue: func(p *core.Params, dst []float64, w []uint64) {
-		for i, x := range w {
-			dst[i] = p.DecodeValue64(x)
-		}
-	},
+// dePerValue is the per-value dequantize loop.
+func dePerValue[F core.Float, W bits.Word](p *core.Params, dst []F, w []W) {
+	for i, x := range w {
+		dst[i] = core.DecodeValue[F](p, x)
+	}
 }
 
 // sampleChunks returns the first chunk of every ScaleSmall file of the
@@ -99,7 +73,8 @@ func sampleChunks[F core.Float](data func(*sdrbench.File) []F) []quantChunk[F] {
 	return out
 }
 
-func quantRows[F core.Float, W uint32 | uint64](budget time.Duration, qp quantPrec[F, W], chunks []quantChunk[F]) ([]Result, []Speedup) {
+func quantRows[F core.Float, W bits.Word](budget time.Duration, chunks []quantChunk[F]) ([]Result, []Speedup) {
+	prec := bits.Width[W]()
 	var results []Result
 	var speedups []Speedup
 	var q core.QuantScratch
@@ -111,7 +86,7 @@ func quantRows[F core.Float, W uint32 | uint64](budget time.Duration, qp quantPr
 	dst := make([]F, values)
 	var bytesPerOp int64
 	for _, c := range chunks {
-		bytesPerOp += int64(len(c.src)) * int64(qp.bits/8)
+		bytesPerOp += int64(len(c.src)) * int64(prec/8)
 	}
 	for _, mode := range []string{"abs", "rel"} {
 		params := func(c *quantChunk[F]) *core.Params {
@@ -124,14 +99,14 @@ func quantRows[F core.Float, W uint32 | uint64](budget time.Duration, qp quantPr
 		for k := range chunks {
 			c := &chunks[k]
 			words[k] = make([]W, len(c.src))
-			qp.chunk(params(c), words[k], c.src, &q)
+			core.QuantizeChunk(params(c), words[k], c.src, &q)
 		}
 		row := func(stage, impl string, f func()) Result {
-			name := fmt.Sprintf("%s/%s/%d", stage, mode, qp.bits)
+			name := fmt.Sprintf("%s/%s/%d", stage, mode, prec)
 			if impl != "chunk" {
 				name += "/" + impl
 			}
-			return stageResult(name, stage, impl, qp.bits, "sdrbench-small", bytesPerOp, budget, f)
+			return stageResult(name, stage, impl, prec, "sdrbench-small", bytesPerOp, budget, f)
 		}
 		pair := func(stage string, chunk, perValue func()) {
 			c := row(stage, "chunk", chunk)
@@ -142,23 +117,23 @@ func quantRows[F core.Float, W uint32 | uint64](budget time.Duration, qp quantPr
 		pair("quantize",
 			func() {
 				for k := range chunks {
-					qp.chunk(params(&chunks[k]), w, chunks[k].src, &q)
+					core.QuantizeChunk(params(&chunks[k]), w, chunks[k].src, &q)
 				}
 			},
 			func() {
 				for k := range chunks {
-					qp.perValue(params(&chunks[k]), w, chunks[k].src)
+					perValue(params(&chunks[k]), w, chunks[k].src)
 				}
 			})
 		pair("dequantize",
 			func() {
 				for k := range chunks {
-					qp.dechunk(params(&chunks[k]), dst, words[k], &q)
+					core.DequantizeChunk(params(&chunks[k]), dst, words[k], &q)
 				}
 			},
 			func() {
 				for k := range chunks {
-					qp.dePerValue(params(&chunks[k]), dst, words[k])
+					dePerValue(params(&chunks[k]), dst, words[k])
 				}
 			})
 	}
@@ -166,7 +141,7 @@ func quantRows[F core.Float, W uint32 | uint64](budget time.Duration, qp quantPr
 }
 
 func quantBenchmarks(budget time.Duration) ([]Result, []Speedup) {
-	r32, s32 := quantRows(budget, quant32, sampleChunks((*sdrbench.File).Data32))
-	r64, s64 := quantRows(budget, quant64, sampleChunks((*sdrbench.File).Data64))
+	r32, s32 := quantRows[float32, uint32](budget, sampleChunks((*sdrbench.File).Data32))
+	r64, s64 := quantRows[float64, uint64](budget, sampleChunks((*sdrbench.File).Data64))
 	return append(r32, r64...), append(s32, s64...)
 }

@@ -39,7 +39,7 @@ func VerifyBound(orig, recon []float32, mode Mode, bound float64) int {
 	}
 	var noaBound float64
 	if mode == NOA {
-		noaBound = bound * core.Range32(orig)
+		noaBound = bound * core.Range(orig)
 	}
 	violations := 0
 	for i := range orig {
@@ -57,7 +57,7 @@ func VerifyBound64(orig, recon []float64, mode Mode, bound float64) int {
 	}
 	var noaBound float64
 	if mode == NOA {
-		noaBound = bound * core.Range64(orig)
+		noaBound = bound * core.Range(orig)
 	}
 	violations := 0
 	for i := range orig {

@@ -25,8 +25,8 @@ func main() {
 	fmt.Printf("  %-10s %-12s %-14s %-10s\n", "value", "bin number", "reconstructed", "error")
 	words := make([]uint32, len(input))
 	for i, v := range input {
-		words[i] = p.EncodeValue32(v)
-		r := p.DecodeValue32(words[i])
+		words[i] = core.EncodeValue[float32, uint32](&p, v)
+		r := core.DecodeValue[float32](&p, words[i])
 		fmt.Printf("  %-10.3f %-12d %-14.3f %-10.4f\n", v, int32(words[i]), r, float64(v)-float64(r))
 	}
 	fmt.Println("  (bin numbers live in the denormal range of the float32 encoding space,")
@@ -45,7 +45,7 @@ func main() {
 	fmt.Println("\nStage 2b - negabinary (base -2): small +/- residuals get leading zeros:")
 	nega := make([]uint32, len(words))
 	copy(nega, words)
-	core.DeltaNegaForward32(nega)
+	core.DeltaNegaForward(nega)
 	for i, d := range deltas {
 		fmt.Printf("  %3d -> %s\n", d, bitsOf(nega[i], 8))
 	}
@@ -78,8 +78,8 @@ func main() {
 		len(enc), core.BitmapLevels)
 
 	fmt.Println("\nWhole pipeline on the example chunk:")
-	var s core.Scratch32
-	payload, raw := core.EncodeChunk32(&p, input, &s)
+	var s core.Scratch[float32, uint32]
+	payload, raw := core.EncodeChunk(&p, input, &s)
 	fmt.Printf("  %d float32 values (%d bytes) -> %d bytes (raw fallback: %v)\n",
 		len(input), len(input)*4, len(payload), raw)
 	fmt.Println("  (tiny inputs carry fixed bitmap overhead; on full 16 kB chunks the")

@@ -27,3 +27,21 @@ func Encode(data []byte, out []byte) []byte { // want `kernel Encode signature f
 
 // helper is unannotated: parity not required.
 func helper(a []uint32) { _ = a }
+
+// DeltaGeneric is generic over the word type; its reference has the same
+// type-parameter list: no finding.
+//
+//pfpl:kernel
+func DeltaGeneric[W ref.Word](a []W) {
+	ref.DeltaGeneric(a)
+}
+
+// Negate is a seeded violation: the reference's constraint drifted from the
+// kernel's, so one corpus cannot instantiate both alike.
+//
+//pfpl:kernel
+func Negate[W ~uint32 | ~uint64](a []W) { // want `kernel Negate signature func\[W ~uint32 \| ~uint64\]\(a \[\]W\) does not match reference refparity/kern/ref.Negate signature func\[W Word\]\(a \[\]W\)`
+	for i := range a {
+		a[i] = -a[i]
+	}
+}

@@ -244,7 +244,7 @@ func encodeBlock(w *bits.Writer, blk []float64, iblk []int64, mode core.Mode, bo
 	// handful of bits.
 	nb := make([]uint64, bsize)
 	for i, x := range iblk {
-		nb[i] = bits.ToNegabinary64(uint64(x))
+		nb[i] = bits.ToNegabinary(uint64(x))
 	}
 	order := coeffOrder(d)
 	sig := make([]bool, bsize)
@@ -425,7 +425,7 @@ func decodeBlock(r *bits.Reader, blk []float64, iblk []int64, d, qb, totalPlanes
 	}
 	for i := range iblk {
 		//pfpl:ignore intwidth deliberate two's-complement reinterpretation of the negabinary decode
-		iblk[i] = int64(bits.FromNegabinary64(nb[i]))
+		iblk[i] = int64(bits.FromNegabinary(nb[i]))
 	}
 	transformInverse(iblk, d)
 	scale := math.Ldexp(1, emax+1-qb)

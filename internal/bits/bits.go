@@ -9,35 +9,54 @@
 // bit-for-bit CPU/GPU compatibility guarantee.
 package bits
 
-// negabinary masks: the bit pattern 1010...10 selects the digit positions
-// whose place value is negative in base -2.
-const (
-	negaMask32 = 0xAAAAAAAA
-	negaMask64 = 0xAAAAAAAAAAAAAAAA
-)
+import "encoding/binary"
 
-// ToNegabinary32 converts a two's-complement 32-bit value (carried in a
-// uint32) to its base -2 representation. Values of small magnitude, positive
+// Word is a lane word of either precision: uint32 holds a float32's bits,
+// uint64 a float64's. Every stage except the byte-granular final one works
+// on words as wide as the value (paper §III.D), so those stages are written
+// once over Word.
+type Word interface{ uint32 | uint64 }
+
+// Width returns the bit width of W, 32 or 64. It folds to a constant in
+// each instantiation, so a branch on it costs nothing at run time.
+func Width[W Word]() int {
+	if ^W(0)>>31>>1 != 0 {
+		return 64
+	}
+	return 32
+}
+
+// ToNegabinary converts a two's-complement value (carried in an unsigned
+// word) to its base -2 representation. Values of small magnitude, positive
 // or negative, map to words with many leading zero bits, which the later
-// PFPL stages exploit.
-func ToNegabinary32(x uint32) uint32 {
-	return (x + negaMask32) ^ negaMask32
+// PFPL stages exploit. ^W(0)/3<<1 is the digit mask 1010...10, which selects
+// the positions whose place value is negative in base -2.
+func ToNegabinary[W Word](x W) W {
+	m := ^W(0) / 3 << 1
+	return (x + m) ^ m
 }
 
-// FromNegabinary32 inverts ToNegabinary32.
-func FromNegabinary32(x uint32) uint32 {
-	return (x ^ negaMask32) - negaMask32
+// FromNegabinary inverts ToNegabinary.
+func FromNegabinary[W Word](x W) W {
+	m := ^W(0) / 3 << 1
+	return (x ^ m) - m
 }
 
-// ToNegabinary64 converts a two's-complement 64-bit value (carried in a
-// uint64) to its base -2 representation.
-func ToNegabinary64(x uint64) uint64 {
-	return (x + negaMask64) ^ negaMask64
+// PutLE stores w little-endian in b[:Width[W]()/8].
+func PutLE[W Word](b []byte, w W) {
+	if Width[W]() == 64 {
+		binary.LittleEndian.PutUint64(b, uint64(w))
+		return
+	}
+	binary.LittleEndian.PutUint32(b, uint32(w))
 }
 
-// FromNegabinary64 inverts ToNegabinary64.
-func FromNegabinary64(x uint64) uint64 {
-	return (x ^ negaMask64) - negaMask64
+// LE loads the little-endian word at the front of b.
+func LE[W Word](b []byte) W {
+	if Width[W]() == 64 {
+		return W(binary.LittleEndian.Uint64(b))
+	}
+	return W(binary.LittleEndian.Uint32(b))
 }
 
 // ZigZag32 maps a signed value to an unsigned one such that values of small
@@ -51,17 +70,6 @@ func UnZigZag32(x uint32) int32 {
 	return int32(x>>1) ^ -int32(x&1)
 }
 
-// ZigZag64 maps a signed 64-bit value to an unsigned one with small codes
-// for small magnitudes.
-func ZigZag64(x int64) uint64 {
-	return uint64((x << 1) ^ (x >> 63))
-}
-
-// UnZigZag64 inverts ZigZag64.
-func UnZigZag64(x uint64) int64 {
-	return int64(x>>1) ^ -int64(x&1)
-}
-
 // Transpose32 transposes the 32x32 bit matrix held in a, where word i is row
 // i and bit j (bit 0 = least significant) is column j. After the call, bit j
 // of word i equals the former bit i of word j. The operation is an
@@ -71,7 +79,7 @@ func UnZigZag64(x uint64) int64 {
 // threads performs the same exchange with warp shuffle instructions
 // (gpusim.TransposeWarpShuffle models it lane by lane). Here the rows are
 // paired into 64-bit words and handed to TransposePairs32, which does the
-// butterfly at full register width; internal/core/ref.Transpose32 keeps the
+// butterfly at full register width; internal/core/ref.Transpose keeps the
 // generic shift-loop form as the reference.
 func Transpose32(a *[32]uint32) {
 	var x [16]uint64

@@ -83,7 +83,7 @@ func TestLibmReducesUnquantizableValues(t *testing.T) {
 	portableLossless, libmLossless := 0, 0
 	isBin := func(w uint32) bool {
 		raw := w ^ 0xFF800000
-		return raw&f32ExpMask == f32ExpMask && raw&f32SignBit != 0 && raw&f32MantMask != 0
+		return raw&l32.exp == l32.exp && raw&l32.sign != 0 && raw&l32.mant != 0
 	}
 	for i := 0; i < 200000; i++ {
 		v := float32(math.Exp(rng.Float64()*40 - 20))

@@ -104,7 +104,7 @@ func PutBatchEntry(buf []byte, i int, e *BatchEntry) {
 	binary.LittleEndian.PutUint64(rec[0:], e.Offset)
 	binary.LittleEndian.PutUint64(rec[8:], e.Length)
 	binary.LittleEndian.PutUint64(rec[16:], e.Values)
-	binary.LittleEndian.PutUint64(rec[24:], f64bits(e.Bound))
+	binary.LittleEndian.PutUint64(rec[24:], math.Float64bits(e.Bound))
 	rec[32] = byte(e.Mode)
 	var fl byte
 	if e.Raw {
@@ -126,7 +126,7 @@ func batchEntryAt(buf []byte, i int) BatchEntry {
 		Offset: binary.LittleEndian.Uint64(rec[0:]),
 		Length: binary.LittleEndian.Uint64(rec[8:]),
 		Values: binary.LittleEndian.Uint64(rec[16:]),
-		Bound:  f64frombits(binary.LittleEndian.Uint64(rec[24:])),
+		Bound:  math.Float64frombits(binary.LittleEndian.Uint64(rec[24:])),
 		Mode:   Mode(rec[32]),
 		Raw:    rec[33]&batchEntryFlagRaw != 0,
 	}
@@ -221,7 +221,7 @@ func CheckFieldHeader(e *BatchEntry, h *Header, prec64 bool) error {
 		return fmt.Errorf("%w: batch field count %d disagrees with index entry %d", ErrCorrupt, h.Count, e.Values)
 	case h.Mode != e.Mode:
 		return fmt.Errorf("%w: batch field mode disagrees with its index entry", ErrCorrupt)
-	case f64bits(h.Bound) != f64bits(e.Bound):
+	case math.Float64bits(h.Bound) != math.Float64bits(e.Bound):
 		return fmt.Errorf("%w: batch field bound disagrees with its index entry", ErrCorrupt)
 	case h.Raw != e.Raw:
 		return fmt.Errorf("%w: batch field raw flag disagrees with its index entry", ErrCorrupt)

@@ -90,7 +90,7 @@ func BenchmarkStageDeltaNega32Ref(b *testing.B) {
 	b.SetBytes(int64(len(words) * 4))
 	for i := 0; i < b.N; i++ {
 		copy(buf, words)
-		ref.DeltaNegaForward32(buf)
+		ref.DeltaNegaForward(buf)
 	}
 }
 

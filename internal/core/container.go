@@ -87,8 +87,6 @@ func NumChunksFor(n, perChunk int) int {
 	return (n + perChunk - 1) / perChunk
 }
 
-func numChunksFor(n, perChunk int) int { return NumChunksFor(n, perChunk) }
-
 // AppendHeader serializes h plus a zeroed chunk-size table to out.
 func AppendHeader(out []byte, h *Header) []byte {
 	var buf [headerSize]byte
@@ -102,8 +100,8 @@ func AppendHeader(out []byte, h *Header) []byte {
 		flags |= 8
 	}
 	buf[5] = flags
-	binary.LittleEndian.PutUint64(buf[8:], f64bits(h.Bound))
-	binary.LittleEndian.PutUint64(buf[16:], f64bits(h.NOARange))
+	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(h.Bound))
+	binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(h.NOARange))
 	binary.LittleEndian.PutUint64(buf[24:], h.Count)
 	binary.LittleEndian.PutUint32(buf[32:], ChunkBytes)
 	if h.NumChunks < 0 || int64(h.NumChunks) > math.MaxUint32 {
@@ -145,8 +143,8 @@ func ParseHeader(buf []byte) (Header, error) {
 	h.Mode = Mode(flags & 3)
 	h.Prec64 = flags&4 != 0
 	h.Raw = flags&8 != 0
-	h.Bound = f64frombits(binary.LittleEndian.Uint64(buf[8:]))
-	h.NOARange = f64frombits(binary.LittleEndian.Uint64(buf[16:]))
+	h.Bound = math.Float64frombits(binary.LittleEndian.Uint64(buf[8:]))
+	h.NOARange = math.Float64frombits(binary.LittleEndian.Uint64(buf[16:]))
 	h.Count = binary.LittleEndian.Uint64(buf[24:])
 	if h.Count > MaxElems {
 		return h, fmt.Errorf("%w: element count %d exceeds the %d-element limit of this architecture", ErrCorrupt, h.Count, uint64(MaxElems))
@@ -158,7 +156,7 @@ func ParseHeader(buf []byte) (Header, error) {
 	if h.Mode > NOA {
 		return h, fmt.Errorf("%w: bad mode", ErrCorrupt)
 	}
-	want := numChunksFor(h.Len(), h.chunkElems())
+	want := NumChunksFor(h.Len(), h.chunkElems())
 	if h.NumChunks != want {
 		return h, fmt.Errorf("%w: chunk count %d does not cover %d elements", ErrCorrupt, h.NumChunks, h.Count)
 	}
@@ -211,12 +209,13 @@ func ParamsForHeader(h *Header) (Params, error) {
 	return p, nil
 }
 
-// Range32 returns max-min over the finite values of src (the NOA reduction,
+// Range returns max-min over the finite values of src (the NOA reduction,
 // §III.A). NaNs are ignored; infinities make the range infinite, which
-// NewParams maps to raw mode. An empty or all-NaN input yields 0.
-func Range32(src []float32) float64 {
+// NewParams maps to raw mode. An empty or all-NaN input yields 0. min/max
+// does not depend on evaluation order, so every executor gets the same bits.
+func Range[T Float](src []T) float64 {
 	first := true
-	var mn, mx float32
+	var mn, mx T
 	for _, v := range src {
 		if v != v {
 			continue
@@ -237,30 +236,4 @@ func Range32(src []float32) float64 {
 		return 0
 	}
 	return float64(mx) - float64(mn)
-}
-
-// Range64 is the double-precision counterpart of Range32.
-func Range64(src []float64) float64 {
-	first := true
-	var mn, mx float64
-	for _, v := range src {
-		if v != v {
-			continue
-		}
-		if first {
-			mn, mx = v, v
-			first = false
-			continue
-		}
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	if first {
-		return 0
-	}
-	return mx - mn
 }

@@ -1,14 +1,16 @@
 package core
 
-// The chunk quantizers against the per-value ones: QuantizeChunk32/64 must
-// emit exactly the words of EncodeValue32/64, and DequantizeChunk32/64
-// exactly the values of DecodeValue32/64, for every mode and ablation
-// switch, on any input — including words no encoder emits.
+// The chunk quantizers against the per-value ones: QuantizeChunk must emit
+// exactly the words of EncodeValue, and DequantizeChunk exactly the values
+// of DecodeValue, at both precisions, for every mode and ablation switch,
+// on any input — including words no encoder emits.
 
 import (
 	"encoding/binary"
 	"math"
 	"testing"
+
+	"pfpl/internal/bits"
 )
 
 // quantCase decodes the fuzzer's configuration byte: bits 0-1 pick the
@@ -26,62 +28,30 @@ func quantCase(cfg byte, bound float64, prec64 bool) (Params, bool) {
 	return p, true
 }
 
-func checkQuantizeChunk32(t *testing.T, p *Params, src []float32, q *QuantScratch) {
+func checkQuantizeChunk[T Float, W bits.Word](t *testing.T, p *Params, src []T, q *QuantScratch) {
 	t.Helper()
-	words := make([]uint32, len(src))
-	p.QuantizeChunk32(words, src, q)
+	words := make([]W, len(src))
+	QuantizeChunk(p, words, src, q)
 	for i, v := range src {
-		if want := p.EncodeValue32(v); words[i] != want {
-			t.Fatalf("%+v: QuantizeChunk32 word %d of %d (%v) = %#x, EncodeValue32 %#x", *p, i, len(src), v, words[i], want)
+		if want := EncodeValue[T, W](p, v); words[i] != want {
+			t.Fatalf("%+v: QuantizeChunk word %d of %d (%v) = %#x, EncodeValue %#x", *p, i, len(src), v, words[i], want)
 		}
 	}
 	// The words themselves, then the input bits read as words: NaN
 	// payloads, out-of-range bins and reserved codes no encoder emits.
-	for _, ws := range [][]uint32{words, float32Words(src)} {
-		dst := make([]float32, len(ws))
-		p.DequantizeChunk32(dst, ws, q)
+	inWords := make([]W, len(src))
+	for i, v := range src {
+		inWords[i] = wordOf[T, W](v)
+	}
+	for _, ws := range [][]W{words, inWords} {
+		dst := make([]T, len(ws))
+		DequantizeChunk(p, dst, ws, q)
 		for i, w := range ws {
-			if got, want := math.Float32bits(dst[i]), math.Float32bits(p.DecodeValue32(w)); got != want {
-				t.Fatalf("%+v: DequantizeChunk32 value %d of word %#x = %#x, DecodeValue32 %#x", *p, i, w, got, want)
+			if got, want := wordOf[T, W](dst[i]), wordOf[T, W](DecodeValue[T](p, w)); got != want {
+				t.Fatalf("%+v: DequantizeChunk value %d of word %#x = %#x, DecodeValue %#x", *p, i, w, got, want)
 			}
 		}
 	}
-}
-
-func checkQuantizeChunk64(t *testing.T, p *Params, src []float64, q *QuantScratch) {
-	t.Helper()
-	words := make([]uint64, len(src))
-	p.QuantizeChunk64(words, src, q)
-	for i, v := range src {
-		if want := p.EncodeValue64(v); words[i] != want {
-			t.Fatalf("%+v: QuantizeChunk64 word %d of %d (%v) = %#x, EncodeValue64 %#x", *p, i, len(src), v, words[i], want)
-		}
-	}
-	for _, ws := range [][]uint64{words, float64Words(src)} {
-		dst := make([]float64, len(ws))
-		p.DequantizeChunk64(dst, ws, q)
-		for i, w := range ws {
-			if got, want := math.Float64bits(dst[i]), math.Float64bits(p.DecodeValue64(w)); got != want {
-				t.Fatalf("%+v: DequantizeChunk64 value %d of word %#x = %#x, DecodeValue64 %#x", *p, i, w, got, want)
-			}
-		}
-	}
-}
-
-func float32Words(src []float32) []uint32 {
-	ws := make([]uint32, len(src))
-	for i, v := range src {
-		ws[i] = math.Float32bits(v)
-	}
-	return ws
-}
-
-func float64Words(src []float64) []uint64 {
-	ws := make([]uint64, len(src))
-	for i, v := range src {
-		ws[i] = math.Float64bits(v)
-	}
-	return ws
 }
 
 // collidingRel returns values whose REL bins share memo slots within one
@@ -143,18 +113,18 @@ func FuzzQuantizeChunk(f *testing.F) {
 			for i := range src {
 				src[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
 			}
-			checkQuantizeChunk32(t, &p, src, &q)
+			checkQuantizeChunk[float32, uint32](t, &p, src, &q)
 			// The same values once more through the warm scratch, and as
 			// a tail that is not a multiple of the four lanes.
-			checkQuantizeChunk32(t, &p, src[:len(src)*3/4], &q)
+			checkQuantizeChunk[float32, uint32](t, &p, src[:len(src)*3/4], &q)
 		}
 		if p, ok := quantCase(cfg, bound, true); ok {
 			src := make([]float64, len(data)/8)
 			for i := range src {
 				src[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 			}
-			checkQuantizeChunk64(t, &p, src, &q)
-			checkQuantizeChunk64(t, &p, src[:len(src)*3/4], &q)
+			checkQuantizeChunk[float64, uint64](t, &p, src, &q)
+			checkQuantizeChunk[float64, uint64](t, &p, src[:len(src)*3/4], &q)
 		}
 	})
 }
@@ -170,8 +140,8 @@ func TestQuantizeChunkMemoCollisions(t *testing.T) {
 		for i, v := range vals {
 			src32[i] = float32(v)
 		}
-		checkQuantizeChunk32(t, &p32, src32, &q)
+		checkQuantizeChunk[float32, uint32](t, &p32, src32, &q)
 		p64, _ := quantCase(cfg, 1e-3, true)
-		checkQuantizeChunk64(t, &p64, collidingRel(&p64, ChunkWords64+3, true), &q)
+		checkQuantizeChunk[float64, uint64](t, &p64, collidingRel(&p64, ChunkWords64+3, true), &q)
 	}
 }

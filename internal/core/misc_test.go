@@ -66,7 +66,7 @@ func TestDecompressRangeCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	full, _ := DecompressSerial32(comp, nil)
-	got, err := DecompressRange32(comp, ChunkWords32-5, 10)
+	got, err := DecompressRange[float32](comp, ChunkWords32-5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestDecompressRangeCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	full64, _ := DecompressSerial64(c64, nil)
-	got64, err := DecompressRange64(c64, ChunkWords64-3, 8)
+	got64, err := DecompressRange[float64](c64, ChunkWords64-3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +91,10 @@ func TestDecompressRangeCore(t *testing.T) {
 			t.Fatalf("f64 value %d differs", i)
 		}
 	}
-	if _, err := DecompressRange64(comp, 0, 1); err == nil {
+	if _, err := DecompressRange[float64](comp, 0, 1); err == nil {
 		t.Error("precision mismatch accepted")
 	}
-	if _, err := DecompressRange32(c64, 0, 1); err == nil {
+	if _, err := DecompressRange[float32](c64, 0, 1); err == nil {
 		t.Error("precision mismatch accepted (32)")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"pfpl/internal/bits"
 	"pfpl/internal/obs"
 )
 
@@ -16,8 +17,10 @@ import (
 // with PackBatch. A single field is a one-field batch throughout, so the
 // layout decisions exist exactly once and cannot drift between executors.
 
-// Float is the element type of the generic orchestration layers. The chunk
-// kernels below it stay per-precision (EncodeChunk32/64, DecodeChunk32/64).
+// Float is the value type of the codec. The orchestration layers are
+// generic over it alone; the chunk codec below them is generic over T and
+// the word W of T's width (bits.Word), and NewKernels is the one place that
+// pairs float32 with uint32 and float64 with uint64.
 type Float interface{ float32 | float64 }
 
 // IsPrec64 reports whether T is float64.
@@ -33,18 +36,6 @@ func chunkWordsOf[T Float]() int {
 		return ChunkWords64
 	}
 	return ChunkWords32
-}
-
-// rangeOf is the NOA reduction for T: the serial Range32/64. min/max does
-// not depend on evaluation order, so every executor gets the same bits.
-func rangeOf[T Float](src []T) float64 {
-	switch s := any(src).(type) {
-	case []float32:
-		return Range32(s)
-	case []float64:
-		return Range64(s)
-	}
-	panic("unreachable")
 }
 
 // EncodePlan is one field's compression layout.
@@ -66,7 +57,7 @@ func PlanEncode[T Float](src []T, mode Mode, bound float64) (EncodePlan[T], erro
 	prec64 := IsPrec64[T]()
 	var rng float64
 	if mode == NOA {
-		rng = rangeOf(src)
+		rng = Range(src)
 	}
 	p, err := NewParams(mode, bound, rng, prec64)
 	if err != nil {
@@ -251,43 +242,37 @@ func FieldOfChunk(starts []int, g int) int {
 }
 
 // Kernels is one worker's concrete chunk codec for element type T:
-// EncodeChunk32/64 and DecodeChunk32/64 bound to that worker's scratch and
-// recorder track. The precision is chosen once, when the worker starts, so
-// generic orchestration makes one indirect call per 16 kB chunk and never
-// reaches a kernel through a generic dictionary.
+// EncodeChunk and DecodeChunk bound to that worker's scratch and recorder
+// track. The precision is chosen once, when the worker starts, so generic
+// orchestration makes one indirect call per 16 kB chunk and never reaches
+// a kernel through a generic dictionary.
 type Kernels[T Float] struct {
 	Encode func(p *Params, src []T, unit int32) (payload []byte, raw bool)
 	Decode func(p *Params, payload []byte, raw bool, dst []T, unit int32) error
 }
 
 // NewKernels binds fresh scratch to the kernels for T. A nil rec disables
-// tracing at no cost.
+// tracing at no cost. It is the one place a value type is paired with the
+// word of its width.
 func NewKernels[T Float](rec *obs.Recorder, track int32) Kernels[T] {
 	var k any
 	if IsPrec64[T]() {
-		s := &Scratch64{Rec: rec, Track: track}
-		k = Kernels[float64]{
-			Encode: func(p *Params, src []float64, unit int32) ([]byte, bool) {
-				s.Unit = unit
-				return EncodeChunk64(p, src, s)
-			},
-			Decode: func(p *Params, payload []byte, raw bool, dst []float64, unit int32) error {
-				s.Unit = unit
-				return DecodeChunk64(p, payload, raw, dst, s)
-			},
-		}
+		k = bindKernels(&Scratch64{Rec: rec, Track: track})
 	} else {
-		s := &Scratch32{Rec: rec, Track: track}
-		k = Kernels[float32]{
-			Encode: func(p *Params, src []float32, unit int32) ([]byte, bool) {
-				s.Unit = unit
-				return EncodeChunk32(p, src, s)
-			},
-			Decode: func(p *Params, payload []byte, raw bool, dst []float32, unit int32) error {
-				s.Unit = unit
-				return DecodeChunk32(p, payload, raw, dst, s)
-			},
-		}
+		k = bindKernels(&Scratch32{Rec: rec, Track: track})
 	}
 	return k.(Kernels[T])
+}
+
+func bindKernels[T Float, W bits.Word](s *Scratch[T, W]) Kernels[T] {
+	return Kernels[T]{
+		Encode: func(p *Params, src []T, unit int32) ([]byte, bool) {
+			s.Unit = unit
+			return EncodeChunk(p, src, s)
+		},
+		Decode: func(p *Params, payload []byte, raw bool, dst []T, unit int32) error {
+			s.Unit = unit
+			return DecodeChunk(p, payload, raw, dst, s)
+		},
+	}
 }

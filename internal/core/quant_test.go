@@ -201,7 +201,7 @@ func TestABSDenormalQuantizesToZero(t *testing.T) {
 	for _, b := range []uint32{1, 0x1234, 0x7FFFFF, 0x800001, 0x807FFFFF} {
 		v := math.Float32frombits(b)
 		w := p.EncodeValue32(v)
-		if w&f32ExpMask != 0 {
+		if w&l32.exp != 0 {
 			t.Fatalf("denormal %g (bits %#x) emitted losslessly as %#x", v, b, w)
 		}
 		if r := p.DecodeValue32(w); r != 0 {
@@ -240,14 +240,14 @@ func TestRELNegativeNaNMadePositive(t *testing.T) {
 	w := p.EncodeValue32(negNaN)
 	r := p.DecodeValue32(w)
 	rb := math.Float32bits(r)
-	if rb&f32SignBit != 0 {
+	if rb&l32.sign != 0 {
 		t.Errorf("negative NaN not made positive: %#x", rb)
 	}
-	if rb&f32ExpMask != f32ExpMask || rb&f32MantMask == 0 {
+	if rb&l32.exp != l32.exp || rb&l32.mant == 0 {
 		t.Errorf("NaN not preserved as NaN: %#x", rb)
 	}
 	// Payload must be preserved.
-	if rb&f32MantMask != 0x400001 {
+	if rb&l32.mant != 0x400001 {
 		t.Errorf("NaN payload changed: %#x", rb)
 	}
 }
@@ -261,13 +261,13 @@ func TestRELZeroHandling(t *testing.T) {
 		t.Errorf("+0 roundtrip gave bits %#x", math.Float32bits(r))
 	}
 	nz := float32(math.Copysign(0, -1))
-	if r := p.DecodeValue32(p.EncodeValue32(nz)); math.Float32bits(r) != f32SignBit {
+	if r := p.DecodeValue32(p.EncodeValue32(nz)); math.Float32bits(r) != l32.sign {
 		t.Errorf("-0 roundtrip gave bits %#x", math.Float32bits(r))
 	}
 	if r := p.DecodeValue64(p.EncodeValue64(0)); math.Float64bits(r) != 0 {
 		t.Errorf("f64 +0 roundtrip gave bits %#x", math.Float64bits(r))
 	}
-	if r := p.DecodeValue64(p.EncodeValue64(math.Copysign(0, -1))); math.Float64bits(r) != f64SignBit {
+	if r := p.DecodeValue64(p.EncodeValue64(math.Copysign(0, -1))); math.Float64bits(r) != l64.sign {
 		t.Errorf("f64 -0 roundtrip gave bits %#x", math.Float64bits(r))
 	}
 }
@@ -280,7 +280,7 @@ func TestABSBinEncodingIsDenormalRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := p.EncodeValue32(3.14159)
-	if w&f32ExpMask != 0 {
+	if w&l32.exp != 0 {
 		t.Errorf("quantizable value emitted with nonzero exponent: %#x", w)
 	}
 	// A value needing a bin beyond 2^23 must be lossless.
@@ -336,7 +336,7 @@ func TestUnquantizableFractionSmallOnSmoothData(t *testing.T) {
 	for i := 0; i < n; i++ {
 		v := float32(math.Sin(float64(i) * 0.001))
 		w := p.EncodeValue32(v)
-		if w&f32ExpMask != 0 {
+		if w&l32.exp != 0 {
 			lossless++
 		}
 	}
@@ -346,26 +346,54 @@ func TestUnquantizableFractionSmallOnSmoothData(t *testing.T) {
 }
 
 func TestRelPayloadRoundtrip(t *testing.T) {
-	for _, bin := range []int64{0, 1, -1, 1000, -1000, f32RelBin, -f32RelBin} {
+	for _, bin := range []int64{0, 1, -1, 1000, -1000, int64(l32.relBin()), -int64(l32.relBin())} {
 		for _, neg := range []bool{false, true} {
 			p := relPayload(bin, neg)
 			b, n := relUnpayload(p)
 			if b != bin || n != neg {
 				t.Errorf("relPayload(%d,%v) roundtrip gave (%d,%v)", bin, neg, b, n)
 			}
-			if p == 0 || p == f32PosZero || p == f32NegZero {
+			if p == 0 || p == relPosZero || p == relNegZero {
 				t.Errorf("relPayload(%d,%v) = %d collides with a reserved code", bin, neg, p)
 			}
 		}
 	}
 	// The widest f32 payload must fit in the 23-bit mantissa.
-	if p := relPayload(f32RelBin, true); p > f32MantMask {
+	if p := relPayload(int64(l32.relBin()), true); p > uint64(l32.mant) {
 		t.Errorf("max f32 payload %#x exceeds 23 bits", p)
 	}
-	if p := relPayload(-f32RelBin, true); p > f32MantMask {
+	if p := relPayload(-int64(l32.relBin()), true); p > uint64(l32.mant) {
 		t.Errorf("min f32 payload %#x exceeds 23 bits", p)
 	}
-	if p := relPayload(f64RelBin, true); p > f64MantMask {
+	if p := relPayload(int64(l64.relBin()), true); p > uint64(l64.mant) {
 		t.Errorf("max f64 payload %#x exceeds 52 bits", p)
+	}
+}
+
+// The bin-encoding layouts of the two word widths, for the tests.
+var (
+	l32 = layoutOf[uint32]()
+	l64 = layoutOf[uint64]()
+)
+
+// TestLayoutConstants pins the derived layouts to the IEEE-754 constants
+// of each width (paper §III.B).
+func TestLayoutConstants(t *testing.T) {
+	type row struct {
+		sign, exp, mant, relXor uint64
+		maxBin, relBin          float64
+	}
+	for _, c := range []struct {
+		name      string
+		got, want row
+	}{
+		{"32", row{uint64(l32.sign), uint64(l32.exp), uint64(l32.mant), uint64(l32.relXor()), l32.maxBin(), l32.relBin()},
+			row{0x80000000, 0x7F800000, 0x007FFFFF, 0xFF800000, 1<<23 - 1, 1<<20 - 1}},
+		{"64", row{l64.sign, l64.exp, l64.mant, l64.relXor(), l64.maxBin(), l64.relBin()},
+			row{0x8000000000000000, 0x7FF0000000000000, 0x000FFFFFFFFFFFFF, 0xFFF0000000000000, 1<<52 - 1, 1<<49 - 1}},
+	} {
+		if c.got != c.want {
+			t.Errorf("layout %s = %#v, want %#v", c.name, c.got, c.want)
+		}
 	}
 }

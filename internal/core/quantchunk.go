@@ -3,11 +3,12 @@ package core
 import (
 	"math"
 
+	"pfpl/internal/bits"
 	"pfpl/internal/portmath"
 )
 
-// The chunk quantizers produce exactly the words of EncodeValue32/64 and
-// the values of DecodeValue32/64, but choose the mode's loop once per chunk
+// The chunk quantizers produce exactly the words of EncodeValue and the
+// values of DecodeValue, but choose the mode's loop once per chunk
 // and run REL in blocks of quantBlock values (paper §III.B–C):
 //
 //  1. the log2 of every magnitude, four independent lanes at a time
@@ -25,7 +26,7 @@ import (
 const (
 	quantBlock = 256
 	memoSlots  = 512
-	memoEmpty  = math.MinInt64 // no bin: |bin| <= f64RelBin < 2^50
+	memoEmpty  = math.MinInt64 // no bin: |bin| <= relBin < 2^50
 )
 
 // QuantScratch is the working storage of the chunk quantizers (11.5 KB): one
@@ -131,41 +132,43 @@ func (q *QuantScratch) exp2(i uint16, bin int64) float64 {
 	return q.lg[i]
 }
 
-// QuantizeChunk32 sets dst[i] = p.EncodeValue32(src[i]) for every value of
+// QuantizeChunk sets dst[i] = EncodeValue(p, src[i]) for every value of
 // src; dst must be at least as long.
 //
 //pfpl:hotpath
-func (p *Params) QuantizeChunk32(dst []uint32, src []float32, q *QuantScratch) {
+func QuantizeChunk[T Float, W bits.Word](p *Params, dst []W, src []T, q *QuantScratch) {
 	dst = dst[:len(src)]
 	switch {
 	case p.Raw:
 		for i, v := range src {
-			dst[i] = math.Float32bits(v)
+			dst[i] = wordOf[T, W](v)
 		}
 	case p.Mode != REL:
 		for i, v := range src {
-			dst[i] = p.encodeAbs32(v)
+			dst[i] = encodeAbs[T, W](p, v)
 		}
 	case p.SkipVerify || p.UseLibm:
 		// The ablation switches keep the per-value definition.
 		for i, v := range src {
-			dst[i] = p.encodeRel32(v)
+			dst[i] = encodeRel[T, W](p, v)
 		}
 	default:
 		q.resetMemo()
 		for lo := 0; lo < len(src); lo += quantBlock {
 			hi := min(lo+quantBlock, len(src))
-			p.quantizeRelBlock32(dst[lo:hi], src[lo:hi], q)
+			quantizeRelBlock(p, dst[lo:hi], src[lo:hi], q)
 		}
 	}
 }
 
-// quantizeRelBlock32 quantizes up to quantBlock values in the passes the
+// quantizeRelBlock quantizes up to quantBlock values in the passes the
 // file comment describes. Between the passes dst holds, for each value of
-// the fill's pending list, its bin.
+// the fill's pending list, its bin; |bin| <= relBin < 2^49 round-trips
+// through W and signed.
 //
 //pfpl:hotpath
-func (p *Params) quantizeRelBlock32(dst []uint32, src []float32, q *QuantScratch) {
+func quantizeRelBlock[T Float, W bits.Word](p *Params, dst []W, src []T, q *QuantScratch) {
+	l := layoutOf[W]()
 	lg := q.lg[:(len(src)+3)&^3]
 	for i, v := range src {
 		lg[i] = math.Abs(float64(v))
@@ -177,201 +180,88 @@ func (p *Params) quantizeRelBlock32(dst []uint32, src []float32, q *QuantScratch
 		portmath.Log2x4((*[4]float64)(lg[i:]))
 	}
 	for i, v := range src {
-		u := math.Float32bits(v)
-		if w, exact := relExact32(u); exact {
+		u := wordOf[T, W](v)
+		if w, exact := l.relExact(u); exact {
 			dst[i] = w
 			continue
 		}
-		bin, ok := relBin(float64(lg[i]*p.invLogBin), f32RelBin)
+		bin, ok := relBin(float64(lg[i]*p.invLogBin), l.relBin())
 		switch {
 		case !ok:
-			dst[i] = u ^ f32RelXor
+			dst[i] = u ^ l.relXor()
 		default:
 			if e, ok := q.cached(bin); ok {
-				dst[i] = p.relVerified32(u, bin, e)
+				dst[i] = relVerified[T](p, u, bin, e)
 				continue
 			}
-			//pfpl:ignore intwidth |bin| <= f32RelBin < 2^20 round-trips through int32
-			dst[i] = uint32(int32(bin))
+			dst[i] = W(bin)
 			q.want(i, bin, p.logBin)
 		}
 	}
 	for _, i := range q.fill(p) {
-		bin := int64(int32(dst[i]))
-		dst[i] = p.relVerified32(math.Float32bits(src[i]), bin, q.exp2(i, bin))
+		bin := signed(dst[i])
+		dst[i] = relVerified[T](p, wordOf[T, W](src[i]), bin, q.exp2(i, bin))
 	}
 }
 
-// DequantizeChunk32 sets dst[i] = p.DecodeValue32(src[i]) for every word of
+// signed returns w as a two's-complement integer of its width.
+func signed[W bits.Word](w W) int64 {
+	if bits.Width[W]() == 64 {
+		return int64(w)
+	}
+	return int64(int32(w))
+}
+
+// DequantizeChunk sets dst[i] = DecodeValue(p, src[i]) for every word of
 // src; dst must be at least as long.
 //
 //pfpl:hotpath
-func (p *Params) DequantizeChunk32(dst []float32, src []uint32, q *QuantScratch) {
+func DequantizeChunk[T Float, W bits.Word](p *Params, dst []T, src []W, q *QuantScratch) {
 	dst = dst[:len(src)]
 	switch {
 	case p.Raw:
 		for i, w := range src {
-			dst[i] = math.Float32frombits(w)
+			dst[i] = valueOf[T](w)
 		}
 	case p.Mode != REL:
+		l := layoutOf[W]()
 		for i, w := range src {
-			dst[i] = p.decodeAbs32(w)
+			dst[i] = decodeAbs[T](p, l, w)
 		}
 	case p.UseLibm:
 		for i, w := range src {
-			dst[i] = p.decodeRel32(w)
+			dst[i] = decodeRel[T](p, w)
 		}
 	default:
 		q.resetMemo()
 		for lo := 0; lo < len(src); lo += quantBlock {
 			hi := min(lo+quantBlock, len(src))
-			p.dequantizeRelBlock32(dst[lo:hi], src[lo:hi], q)
+			dequantizeRelBlock(p, dst[lo:hi], src[lo:hi], q)
 		}
 	}
 }
 
-// dequantizeRelBlock32 reconstructs up to quantBlock values: at once where
+// dequantizeRelBlock reconstructs up to quantBlock values: at once where
 // the memo holds a bin's exp2, after the block's fill otherwise.
 //
 //pfpl:hotpath
-func (p *Params) dequantizeRelBlock32(dst []float32, src []uint32, q *QuantScratch) {
+func dequantizeRelBlock[T Float, W bits.Word](p *Params, dst []T, src []W, q *QuantScratch) {
+	l := layoutOf[W]()
 	for i, w := range src {
-		pl := relBinPayload32(w)
+		pl := l.relBinPayload(w)
 		if pl == 0 {
-			dst[i] = relExactValue32(w)
+			dst[i] = relExactValue[T](l, w)
 			continue
 		}
 		bin, neg := relUnpayload(pl)
 		if e, ok := q.cached(bin); ok {
-			dst[i] = relValue32(e, neg)
+			dst[i] = relValue[T](e, neg)
 			continue
 		}
 		q.want(i, bin, p.logBin)
 	}
 	for _, i := range q.fill(p) {
-		bin, neg := relUnpayload(relBinPayload32(src[i]))
-		dst[i] = relValue32(q.exp2(i, bin), neg)
-	}
-}
-
-// QuantizeChunk64 sets dst[i] = p.EncodeValue64(src[i]) for every value of
-// src; dst must be at least as long.
-//
-//pfpl:hotpath
-func (p *Params) QuantizeChunk64(dst []uint64, src []float64, q *QuantScratch) {
-	dst = dst[:len(src)]
-	switch {
-	case p.Raw:
-		for i, v := range src {
-			dst[i] = math.Float64bits(v)
-		}
-	case p.Mode != REL:
-		for i, v := range src {
-			dst[i] = p.encodeAbs64(v)
-		}
-	case p.SkipVerify || p.UseLibm:
-		// The ablation switches keep the per-value definition.
-		for i, v := range src {
-			dst[i] = p.encodeRel64(v)
-		}
-	default:
-		q.resetMemo()
-		for lo := 0; lo < len(src); lo += quantBlock {
-			hi := min(lo+quantBlock, len(src))
-			p.quantizeRelBlock64(dst[lo:hi], src[lo:hi], q)
-		}
-	}
-}
-
-// quantizeRelBlock64 is the double-precision counterpart of
-// quantizeRelBlock32.
-//
-//pfpl:hotpath
-func (p *Params) quantizeRelBlock64(dst []uint64, src []float64, q *QuantScratch) {
-	lg := q.lg[:(len(src)+3)&^3]
-	for i, v := range src {
-		lg[i] = math.Abs(v)
-	}
-	for i := len(src); i < len(lg); i++ {
-		lg[i] = 1
-	}
-	for i := 0; i < len(lg); i += 4 {
-		portmath.Log2x4((*[4]float64)(lg[i:]))
-	}
-	for i, v := range src {
-		u := math.Float64bits(v)
-		if w, exact := relExact64(u); exact {
-			dst[i] = w
-			continue
-		}
-		bin, ok := relBin(float64(lg[i]*p.invLogBin), f64RelBin)
-		switch {
-		case !ok:
-			dst[i] = u ^ f64RelXor
-		default:
-			if e, ok := q.cached(bin); ok {
-				dst[i] = p.relVerified64(u, bin, e)
-				continue
-			}
-			dst[i] = uint64(bin)
-			q.want(i, bin, p.logBin)
-		}
-	}
-	for _, i := range q.fill(p) {
-		//pfpl:ignore intwidth dst[i] holds the int64 bin stored as uint64 above; the round trip is exact
-		bin := int64(dst[i])
-		dst[i] = p.relVerified64(math.Float64bits(src[i]), bin, q.exp2(i, bin))
-	}
-}
-
-// DequantizeChunk64 sets dst[i] = p.DecodeValue64(src[i]) for every word of
-// src; dst must be at least as long.
-//
-//pfpl:hotpath
-func (p *Params) DequantizeChunk64(dst []float64, src []uint64, q *QuantScratch) {
-	dst = dst[:len(src)]
-	switch {
-	case p.Raw:
-		for i, w := range src {
-			dst[i] = math.Float64frombits(w)
-		}
-	case p.Mode != REL:
-		for i, w := range src {
-			dst[i] = p.decodeAbs64(w)
-		}
-	case p.UseLibm:
-		for i, w := range src {
-			dst[i] = p.decodeRel64(w)
-		}
-	default:
-		q.resetMemo()
-		for lo := 0; lo < len(src); lo += quantBlock {
-			hi := min(lo+quantBlock, len(src))
-			p.dequantizeRelBlock64(dst[lo:hi], src[lo:hi], q)
-		}
-	}
-}
-
-// dequantizeRelBlock64 is the double-precision counterpart of
-// dequantizeRelBlock32.
-//
-//pfpl:hotpath
-func (p *Params) dequantizeRelBlock64(dst []float64, src []uint64, q *QuantScratch) {
-	for i, w := range src {
-		pl := relBinPayload64(w)
-		if pl == 0 {
-			dst[i] = relExactValue64(w)
-			continue
-		}
-		bin, neg := relUnpayload(pl)
-		if e, ok := q.cached(bin); ok {
-			dst[i] = relValue64(e, neg)
-			continue
-		}
-		q.want(i, bin, p.logBin)
-	}
-	for _, i := range q.fill(p) {
-		bin, neg := relUnpayload(relBinPayload64(src[i]))
-		dst[i] = relValue64(q.exp2(i, bin), neg)
+		bin, neg := relUnpayload(l.relBinPayload(src[i]))
+		dst[i] = relValue[T](q.exp2(i, bin), neg)
 	}
 }

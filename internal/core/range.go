@@ -51,19 +51,9 @@ func ChunkTableBytes(buf []byte, h *Header) (table, payload []byte) {
 	return buf[headerSize:end], buf[end:]
 }
 
-// DecompressRange32 decodes count values starting at element offset from a
-// single-precision stream, touching only the covering chunks.
-func DecompressRange32(buf []byte, offset, count int) ([]float32, error) {
-	return decompressRange[float32](buf, offset, count)
-}
-
-// DecompressRange64 is the double-precision counterpart of
-// DecompressRange32.
-func DecompressRange64(buf []byte, offset, count int) ([]float64, error) {
-	return decompressRange[float64](buf, offset, count)
-}
-
-func decompressRange[T Float](buf []byte, offset, count int) ([]T, error) {
+// DecompressRange decodes count values starting at element offset from a
+// stream of T values, touching only the covering chunks.
+func DecompressRange[T Float](buf []byte, offset, count int) ([]T, error) {
 	h, err := ParseHeader(buf)
 	if err != nil {
 		return nil, err

@@ -54,14 +54,14 @@ func TestChunkWindowSkipsTrailingCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := DecompressRange32(comp, 10, 20)
+	want, err := DecompressRange[float32](comp, 10, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Wreck the last chunk's table entry (length > MaxChunkPayload).
 	bad := append([]byte(nil), comp...)
 	binary.LittleEndian.PutUint32(bad[headerSize+4*3:], uint32(MaxChunkPayload+1))
-	got, err := DecompressRange32(bad, 10, 20)
+	got, err := DecompressRange[float32](bad, 10, 20)
 	if err != nil {
 		t.Fatalf("window before the corrupt entry failed: %v", err)
 	}
@@ -71,12 +71,12 @@ func TestChunkWindowSkipsTrailingCorruption(t *testing.T) {
 		}
 	}
 	// A window that covers the corrupt entry still fails.
-	if _, err := DecompressRange32(bad, 3*ChunkWords32, 5); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecompressRange[float32](bad, 3*ChunkWords32, 5); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("window over corrupt entry = %v, want ErrCorrupt", err)
 	}
 	// So does one whose covering span runs past a truncated payload.
 	trunc := comp[:len(comp)-10]
-	if _, err := DecompressRange32(trunc, 3*ChunkWords32, 5); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecompressRange[float32](trunc, 3*ChunkWords32, 5); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("window past truncated payload = %v, want ErrCorrupt", err)
 	}
 }
@@ -94,7 +94,7 @@ func BenchmarkDecompressRangeWindow(b *testing.B) {
 		b.Run(fmt.Sprintf("front-window/chunks=%d", chunks), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := DecompressRange32(comp, 5, 100); err != nil {
+				if _, err := DecompressRange[float32](comp, 5, 100); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -37,52 +37,36 @@ func BitmapLen(n int) int { return (n + 7) / 8 }
 
 // --- Stage 1: difference coding with negabinary residuals ---
 
-// DeltaNegaForward32 transforms a in place: each word becomes the
-// negabinary form of its wrapping difference from the previous word.
-func DeltaNegaForward32(a []uint32) {
-	prev := uint32(0)
+// DeltaNegaForward transforms a in place: each word becomes the negabinary
+// form of its wrapping difference from the previous word.
+func DeltaNegaForward[W bits.Word](a []W) {
+	prev := W(0)
 	for i, w := range a {
-		a[i] = bits.ToNegabinary32(w - prev)
+		a[i] = bits.ToNegabinary(w - prev)
 		prev = w
 	}
 }
 
-// DeltaNegaInverse32 inverts DeltaNegaForward32 in place.
-func DeltaNegaInverse32(a []uint32) {
-	prev := uint32(0)
+// DeltaNegaInverse inverts DeltaNegaForward in place.
+func DeltaNegaInverse[W bits.Word](a []W) {
+	prev := W(0)
 	for i, w := range a {
-		prev += bits.FromNegabinary32(w)
-		a[i] = prev
-	}
-}
-
-// DeltaNegaForward64 transforms a in place (64-bit word size).
-func DeltaNegaForward64(a []uint64) {
-	prev := uint64(0)
-	for i, w := range a {
-		a[i] = bits.ToNegabinary64(w - prev)
-		prev = w
-	}
-}
-
-// DeltaNegaInverse64 inverts DeltaNegaForward64 in place.
-func DeltaNegaInverse64(a []uint64) {
-	prev := uint64(0)
-	for i, w := range a {
-		prev += bits.FromNegabinary64(w)
+		prev += bits.FromNegabinary(w)
 		a[i] = prev
 	}
 }
 
 // --- Stage 2: bit shuffle (square bit-matrix transpose) ---
 
-// Transpose32 transposes the 32x32 bit matrix held in a with the generic
-// shift-loop butterfly (the seed form of bits.Transpose32). It is an
-// involution.
-func Transpose32(a *[32]uint32) {
-	m := uint32(0x0000FFFF)
-	for j := 16; j != 0; j, m = j>>1, m^(m<<uint(j>>1)) {
-		for k := 0; k < 32; k = (k + j + 1) &^ j {
+// Transpose transposes the square bit matrix held in a, whose length is the
+// word width, with the generic shift-loop butterfly (the seed form of
+// bits.Transpose32/64). It is an involution.
+func Transpose[W bits.Word](a []W) {
+	n := bits.Width[W]()
+	a = a[:n]
+	m := ^W(0) >> uint(n/2)
+	for j := n / 2; j != 0; j, m = j>>1, m^(m<<uint(j>>1)) {
+		for k := 0; k < n; k = (k + j + 1) &^ j {
 			t := ((a[k] >> uint(j)) ^ a[k+j]) & m
 			a[k] ^= t << uint(j)
 			a[k+j] ^= t
@@ -90,79 +74,58 @@ func Transpose32(a *[32]uint32) {
 	}
 }
 
-// Transpose64 transposes the 64x64 bit matrix held in a (involution).
-func Transpose64(a *[64]uint64) {
-	m := uint64(0x00000000FFFFFFFF)
-	for j := 32; j != 0; j, m = j>>1, m^(m<<uint(j>>1)) {
-		for k := 0; k < 64; k = (k + j + 1) &^ j {
-			t := ((a[k] >> uint(j)) ^ a[k+j]) & m
-			a[k] ^= t << uint(j)
-			a[k+j] ^= t
-		}
+// BitShuffle transposes each group of a in place, a group being as many
+// words as a word has bits (involution).
+func BitShuffle[W bits.Word](a []W) {
+	g := bits.Width[W]()
+	for i := 0; i+g <= len(a); i += g {
+		Transpose(a[i : i+g])
 	}
 }
 
-// BitShuffle32 transposes each 32-word group of a in place (involution).
-func BitShuffle32(a []uint32) {
-	for i := 0; i+32 <= len(a); i += 32 {
-		Transpose32((*[32]uint32)(a[i : i+32]))
-	}
-}
+// BitShuffle32 is BitShuffle at single precision, the counterpart of
+// core.BitShuffle32.
+func BitShuffle32(a []uint32) { BitShuffle(a) }
 
-// BitShuffle64 transposes each 64-word group of a in place (involution).
-func BitShuffle64(a []uint64) {
-	for i := 0; i+64 <= len(a); i += 64 {
-		Transpose64((*[64]uint64)(a[i : i+64]))
-	}
-}
+// BitShuffle64 is BitShuffle at double precision.
+func BitShuffle64(a []uint64) { BitShuffle(a) }
 
-// ShufflePack32 bit-shuffles a copy of src (BitShuffle32) and writes the
+// ShufflePack32 bit-shuffles a copy of src (BitShuffle) and writes the
 // shuffled words to dst as little-endian bytes, one byte at a time.
 // len(src) must be a multiple of 32; src is left untouched.
-func ShufflePack32(dst []byte, src []uint32) {
-	words := append([]uint32(nil), src...)
-	BitShuffle32(words)
-	for i, w := range words {
-		for k := 0; k < 4; k++ {
-			dst[i*4+k] = byte(w >> (8 * k))
-		}
-	}
-}
+func ShufflePack32(dst []byte, src []uint32) { shufflePack(dst, src) }
 
 // UnpackShuffle32 inverts ShufflePack32: it assembles len(dst)
 // little-endian words from src and bit-shuffles them in place.
-func UnpackShuffle32(dst []uint32, src []byte) {
-	for i := range dst {
-		w := uint32(0)
-		for k := 0; k < 4; k++ {
-			w |= uint32(src[i*4+k]) << (8 * k)
-		}
-		dst[i] = w
-	}
-	BitShuffle32(dst)
-}
+func UnpackShuffle32(dst []uint32, src []byte) { unpackShuffle(dst, src) }
 
 // ShufflePack64 is the double-precision counterpart of ShufflePack32.
-func ShufflePack64(dst []byte, src []uint64) {
-	words := append([]uint64(nil), src...)
-	BitShuffle64(words)
+func ShufflePack64(dst []byte, src []uint64) { shufflePack(dst, src) }
+
+// UnpackShuffle64 inverts ShufflePack64.
+func UnpackShuffle64(dst []uint64, src []byte) { unpackShuffle(dst, src) }
+
+func shufflePack[W bits.Word](dst []byte, src []W) {
+	size := bits.Width[W]() / 8
+	words := append([]W(nil), src...)
+	BitShuffle(words)
 	for i, w := range words {
-		for k := 0; k < 8; k++ {
-			dst[i*8+k] = byte(w >> (8 * k))
+		for k := 0; k < size; k++ {
+			dst[i*size+k] = byte(w >> (8 * k))
 		}
 	}
 }
 
-// UnpackShuffle64 inverts ShufflePack64.
-func UnpackShuffle64(dst []uint64, src []byte) {
+func unpackShuffle[W bits.Word](dst []W, src []byte) {
+	size := bits.Width[W]() / 8
 	for i := range dst {
-		w := uint64(0)
-		for k := 0; k < 8; k++ {
-			w |= uint64(src[i*8+k]) << (8 * k)
+		w := W(0)
+		for k := 0; k < size; k++ {
+			w |= W(src[i*size+k]) << (8 * k)
 		}
 		dst[i] = w
 	}
-	BitShuffle64(dst)
+	BitShuffle(dst)
 }
 
 // --- Stage 3: iterated zero-byte elimination ---

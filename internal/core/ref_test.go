@@ -174,13 +174,13 @@ func TestDifferentialDeltaNega32(t *testing.T) {
 			fast := append([]uint32(nil), data...)
 			slow := append([]uint32(nil), data...)
 			DeltaNegaForward32(fast)
-			ref.DeltaNegaForward32(slow)
+			ref.DeltaNegaForward(slow)
 			if !equalU32(fast, slow) {
 				t.Fatalf("n=%d %s: forward fast != ref", n, name)
 			}
 			// Cross-inverse both directions, each must restore the input.
 			DeltaNegaInverse32(fast)
-			ref.DeltaNegaInverse32(slow)
+			ref.DeltaNegaInverse(slow)
 			if !equalU32(fast, data) || !equalU32(slow, data) {
 				t.Fatalf("n=%d %s: inverse did not roundtrip", n, name)
 			}
@@ -195,12 +195,12 @@ func TestDifferentialDeltaNega64(t *testing.T) {
 			fast := append([]uint64(nil), data...)
 			slow := append([]uint64(nil), data...)
 			DeltaNegaForward64(fast)
-			ref.DeltaNegaForward64(slow)
+			ref.DeltaNegaForward(slow)
 			if !equalU64(fast, slow) {
 				t.Fatalf("n=%d %s: forward fast != ref", n, name)
 			}
 			DeltaNegaInverse64(fast)
-			ref.DeltaNegaInverse64(slow)
+			ref.DeltaNegaInverse(slow)
 			if !equalU64(fast, data) || !equalU64(slow, data) {
 				t.Fatalf("n=%d %s: inverse did not roundtrip", n, name)
 			}
@@ -227,7 +227,7 @@ func TestDifferentialTranspose(t *testing.T) {
 		slow = fast
 		orig := fast
 		bits.Transpose32(&fast)
-		ref.Transpose32(&slow)
+		ref.Transpose(slow[:])
 		if fast != slow {
 			t.Fatalf("trial %d: Transpose32 fast != ref", trial)
 		}
@@ -250,7 +250,7 @@ func TestDifferentialTranspose(t *testing.T) {
 		slow64 = fast64
 		orig64 := fast64
 		bits.Transpose64(&fast64)
-		ref.Transpose64(&slow64)
+		ref.Transpose(slow64[:])
 		if fast64 != slow64 {
 			t.Fatalf("trial %d: Transpose64 fast != ref", trial)
 		}
@@ -364,8 +364,8 @@ func TestDifferentialZeroBitmap(t *testing.T) {
 	r := &diffRNG{state: 0x2E40}
 	for _, n := range edgeLens {
 		for name, data := range bytePatterns(n, r) {
-			fast := make([]byte, bitmapLen(n))
-			slow := make([]byte, bitmapLen(n))
+			fast := make([]byte, BitmapLen(n))
+			slow := make([]byte, BitmapLen(n))
 			buildZeroBitmapInto(data, fast)
 			ref.BuildZeroBitmapInto(data, slow)
 			if !bytes.Equal(fast, slow) {
@@ -379,8 +379,8 @@ func TestDifferentialRepeatBitmap(t *testing.T) {
 	r := &diffRNG{state: 0x4EBE}
 	for _, n := range edgeLens {
 		for name, data := range bytePatterns(n, r) {
-			fast := make([]byte, bitmapLen(n))
-			slow := make([]byte, bitmapLen(n))
+			fast := make([]byte, BitmapLen(n))
+			slow := make([]byte, BitmapLen(n))
 			buildRepeatBitmapInto(data, fast)
 			ref.BuildRepeatBitmapInto(data, slow)
 			if !bytes.Equal(fast, slow) {
@@ -542,10 +542,10 @@ type refCodec[T Float, W uint32 | uint64] struct {
 }
 
 var refCodec32 = refCodec[float32, uint32]{32, (*Params).EncodeValue32, (*Params).DecodeValue32,
-	math.Float32bits, math.Float32frombits, ref.DeltaNegaForward32, ref.DeltaNegaInverse32, ref.BitShuffle32}
+	math.Float32bits, math.Float32frombits, ref.DeltaNegaForward[uint32], ref.DeltaNegaInverse[uint32], ref.BitShuffle32}
 
 var refCodec64 = refCodec[float64, uint64]{64, (*Params).EncodeValue64, (*Params).DecodeValue64,
-	math.Float64bits, math.Float64frombits, ref.DeltaNegaForward64, ref.DeltaNegaInverse64, ref.BitShuffle64}
+	math.Float64bits, math.Float64frombits, ref.DeltaNegaForward[uint64], ref.DeltaNegaInverse[uint64], ref.BitShuffle64}
 
 func (c refCodec[T, W]) pack(words []W) []byte {
 	out := make([]byte, 0, len(words)*c.width/8)
@@ -729,7 +729,7 @@ func TestDifferentialRandomized(t *testing.T) {
 		f32s := append([]uint32(nil), w32...)
 		s32s := append([]uint32(nil), w32...)
 		DeltaNegaForward32(f32s)
-		ref.DeltaNegaForward32(s32s)
+		ref.DeltaNegaForward(s32s)
 		if !equalU32(f32s, s32s) {
 			t.Fatalf("trial %d: delta32 diverged", trial)
 		}
@@ -740,7 +740,7 @@ func TestDifferentialRandomized(t *testing.T) {
 		f64s := append([]uint64(nil), w64...)
 		s64s := append([]uint64(nil), w64...)
 		DeltaNegaForward64(f64s)
-		ref.DeltaNegaForward64(s64s)
+		ref.DeltaNegaForward(s64s)
 		if !equalU64(f64s, s64s) {
 			t.Fatalf("trial %d: delta64 diverged", trial)
 		}

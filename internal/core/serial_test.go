@@ -281,7 +281,7 @@ func TestHeaderRoundtrip(t *testing.T) {
 		count = MaxElems
 	}
 	h := Header{Mode: NOA, Prec64: true, Raw: true, Bound: 1e-5, NOARange: 123.5, Count: count}
-	h.NumChunks = numChunksFor(int(h.Count), h.chunkElems())
+	h.NumChunks = NumChunksFor(int(h.Count), h.chunkElems())
 	buf := AppendHeader(nil, &h)
 	// Patch: ParseHeader validates chunk count against Count, so we need
 	// the real value; the buffer already has it.

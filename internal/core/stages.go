@@ -20,7 +20,7 @@ import (
 // base -2 so that both small positive and small negative residuals have
 // many leading zero bits.
 
-// DeltaNegaForward32 transforms a in place. The forward transform has no
+// DeltaNegaForward transforms a in place. The forward transform has no
 // loop-carried dependence — residual i needs only the loaded words i and
 // i-1 — so an eight-wide stride lets all eight subtract+negabinary
 // conversions retire independently instead of serializing on the previous
@@ -28,44 +28,44 @@ import (
 //
 //pfpl:kernel
 //pfpl:hotpath
-func DeltaNegaForward32(a []uint32) {
-	prev := uint32(0)
+func DeltaNegaForward[W bits.Word](a []W) {
+	prev := W(0)
 	i := 0
 	for ; i+8 <= len(a); i += 8 {
 		w0, w1, w2, w3 := a[i], a[i+1], a[i+2], a[i+3]
 		w4, w5, w6, w7 := a[i+4], a[i+5], a[i+6], a[i+7]
-		a[i] = bits.ToNegabinary32(w0 - prev)
-		a[i+1] = bits.ToNegabinary32(w1 - w0)
-		a[i+2] = bits.ToNegabinary32(w2 - w1)
-		a[i+3] = bits.ToNegabinary32(w3 - w2)
-		a[i+4] = bits.ToNegabinary32(w4 - w3)
-		a[i+5] = bits.ToNegabinary32(w5 - w4)
-		a[i+6] = bits.ToNegabinary32(w6 - w5)
-		a[i+7] = bits.ToNegabinary32(w7 - w6)
+		a[i] = bits.ToNegabinary(w0 - prev)
+		a[i+1] = bits.ToNegabinary(w1 - w0)
+		a[i+2] = bits.ToNegabinary(w2 - w1)
+		a[i+3] = bits.ToNegabinary(w3 - w2)
+		a[i+4] = bits.ToNegabinary(w4 - w3)
+		a[i+5] = bits.ToNegabinary(w5 - w4)
+		a[i+6] = bits.ToNegabinary(w6 - w5)
+		a[i+7] = bits.ToNegabinary(w7 - w6)
 		prev = w7
 	}
 	for ; i < len(a); i++ {
 		w := a[i]
-		a[i] = bits.ToNegabinary32(w - prev)
+		a[i] = bits.ToNegabinary(w - prev)
 		prev = w
 	}
 }
 
-// DeltaNegaInverse32 inverts DeltaNegaForward32 in place. The inverse is a
+// DeltaNegaInverse inverts DeltaNegaForward in place. The inverse is a
 // prefix sum, so the running total is inherently serial — but the four
 // negabinary decodes and the partial-sum tree are not, leaving one add on
 // the carried chain per four elements instead of four.
 //
 //pfpl:kernel
 //pfpl:hotpath
-func DeltaNegaInverse32(a []uint32) {
-	prev := uint32(0)
+func DeltaNegaInverse[W bits.Word](a []W) {
+	prev := W(0)
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		d0 := bits.FromNegabinary32(a[i])
-		d1 := bits.FromNegabinary32(a[i+1])
-		d2 := bits.FromNegabinary32(a[i+2])
-		d3 := bits.FromNegabinary32(a[i+3])
+		d0 := bits.FromNegabinary(a[i])
+		d1 := bits.FromNegabinary(a[i+1])
+		d2 := bits.FromNegabinary(a[i+2])
+		d3 := bits.FromNegabinary(a[i+3])
 		s01 := d0 + d1
 		a[i] = prev + d0
 		a[i+1] = prev + s01
@@ -74,62 +74,22 @@ func DeltaNegaInverse32(a []uint32) {
 		a[i+3] = prev
 	}
 	for ; i < len(a); i++ {
-		prev += bits.FromNegabinary32(a[i])
+		prev += bits.FromNegabinary(a[i])
 		a[i] = prev
 	}
 }
 
-// DeltaNegaForward64 transforms a in place (64-bit word size).
-//
-//pfpl:kernel
-//pfpl:hotpath
-func DeltaNegaForward64(a []uint64) {
-	prev := uint64(0)
-	i := 0
-	for ; i+8 <= len(a); i += 8 {
-		w0, w1, w2, w3 := a[i], a[i+1], a[i+2], a[i+3]
-		w4, w5, w6, w7 := a[i+4], a[i+5], a[i+6], a[i+7]
-		a[i] = bits.ToNegabinary64(w0 - prev)
-		a[i+1] = bits.ToNegabinary64(w1 - w0)
-		a[i+2] = bits.ToNegabinary64(w2 - w1)
-		a[i+3] = bits.ToNegabinary64(w3 - w2)
-		a[i+4] = bits.ToNegabinary64(w4 - w3)
-		a[i+5] = bits.ToNegabinary64(w5 - w4)
-		a[i+6] = bits.ToNegabinary64(w6 - w5)
-		a[i+7] = bits.ToNegabinary64(w7 - w6)
-		prev = w7
-	}
-	for ; i < len(a); i++ {
-		w := a[i]
-		a[i] = bits.ToNegabinary64(w - prev)
-		prev = w
-	}
-}
+// DeltaNegaForward32 is DeltaNegaForward on 32-bit words.
+func DeltaNegaForward32(a []uint32) { DeltaNegaForward(a) }
 
-// DeltaNegaInverse64 inverts DeltaNegaForward64 in place.
-//
-//pfpl:kernel
-//pfpl:hotpath
-func DeltaNegaInverse64(a []uint64) {
-	prev := uint64(0)
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		d0 := bits.FromNegabinary64(a[i])
-		d1 := bits.FromNegabinary64(a[i+1])
-		d2 := bits.FromNegabinary64(a[i+2])
-		d3 := bits.FromNegabinary64(a[i+3])
-		s01 := d0 + d1
-		a[i] = prev + d0
-		a[i+1] = prev + s01
-		a[i+2] = prev + s01 + d2
-		prev += s01 + d2 + d3
-		a[i+3] = prev
-	}
-	for ; i < len(a); i++ {
-		prev += bits.FromNegabinary64(a[i])
-		a[i] = prev
-	}
-}
+// DeltaNegaInverse32 is DeltaNegaInverse on 32-bit words.
+func DeltaNegaInverse32(a []uint32) { DeltaNegaInverse(a) }
+
+// DeltaNegaForward64 is DeltaNegaForward on 64-bit words.
+func DeltaNegaForward64(a []uint64) { DeltaNegaForward(a) }
+
+// DeltaNegaInverse64 is DeltaNegaInverse on 64-bit words.
+func DeltaNegaInverse64(a []uint64) { DeltaNegaInverse(a) }
 
 // Stage 2: bit shuffling (paper §III.D, Fig. 4). Words are processed in
 // warp-sized groups of 32 (64 for double precision); within each group the
@@ -244,6 +204,29 @@ func UnpackShuffle64(dst []uint64, src []byte) {
 	}
 }
 
+// shufflePack and unpackShuffle run the shuffle-pack kernel of W's width
+// for the generic chunk codec. The fast kernels are different algorithms
+// at the two widths, so they stay two functions; the type switch picks one
+// per chunk, and its interface value does not escape, so it allocates
+// nothing (the ZeroAllocs guards pin this).
+func shufflePack[W bits.Word](dst []byte, src []W) {
+	switch src := any(src).(type) {
+	case []uint32:
+		ShufflePack32(dst, src)
+	case []uint64:
+		ShufflePack64(dst, src)
+	}
+}
+
+func unpackShuffle[W bits.Word](dst []W, src []byte) {
+	switch dst := any(dst).(type) {
+	case []uint32:
+		UnpackShuffle32(dst, src)
+	case []uint64:
+		UnpackShuffle64(dst, src)
+	}
+}
+
 // Stage 3: zero-byte elimination (paper §III.D, Fig. 5). A bitmap marks the
 // nonzero bytes of the input; zero bytes are dropped. Because the bitmap is
 // substantial overhead, it is itself compressed through repeat-byte
@@ -260,15 +243,11 @@ const BitmapLevels = bitmapLevels
 var _ [1]struct{} = [1 + bitmapLevels - ref.BitmapLevels]struct{}{}
 var _ [1]struct{} = [1 + ref.BitmapLevels - bitmapLevels]struct{}{}
 
-// bitmapLen returns the number of bitmap bytes covering n payload bytes.
-//
-//pfpl:hotpath
-func bitmapLen(n int) int { return (n + 7) / 8 }
-
-// BitmapLen is the exported form of bitmapLen.
+// BitmapLen returns the number of bitmap bytes covering n payload bytes.
 //
 //pfpl:kernel
-func BitmapLen(n int) int { return bitmapLen(n) }
+//pfpl:hotpath
+func BitmapLen(n int) int { return (n + 7) / 8 }
 
 // SWAR constants for the byte-granular kernels: every lane trick below
 // treats a uint64 as eight byte lanes.
@@ -350,7 +329,7 @@ type bitmaps [bitmapLevels][]byte
 func bitmapsLen(n int) int {
 	total := 0
 	for k := 0; k < bitmapLevels; k++ {
-		n = bitmapLen(n)
+		n = BitmapLen(n)
 		total += n
 	}
 	return total
@@ -362,7 +341,7 @@ func bitmapsLen(n int) int {
 //pfpl:hotpath
 func carveBitmaps(buf []byte, n int) (lv bitmaps) {
 	for k := range lv {
-		n = bitmapLen(n)
+		n = BitmapLen(n)
 		lv[k], buf = buf[:n], buf[n:]
 	}
 	return lv
@@ -453,7 +432,7 @@ func appendSelected(out []byte, data []byte, sel []byte) []byte {
 }
 
 // buildZeroBitmapInto writes the zero bitmap of data into bm, which must
-// have length bitmapLen(len(data)): bit i is set iff data[i] != 0. It
+// have length BitmapLen(len(data)): bit i is set iff data[i] != 0. It
 // classifies eight bytes per 64-bit load through the SWAR zero-byte
 // detector: the fused chunk pipeline runs this over every byte of the
 // stream, so word-at-a-time scanning is one of the optimizations behind
@@ -479,7 +458,7 @@ func buildZeroBitmapInto(data []byte, bm []byte) {
 }
 
 // buildRepeatBitmapInto writes the repeat bitmap of data into bm, which
-// must have length bitmapLen(len(data)): bit i is set iff data[i] differs
+// must have length BitmapLen(len(data)): bit i is set iff data[i] differs
 // from data[i-1], and bit 0 is always set because the first byte has no
 // predecessor. Shifting the loaded word left one lane and injecting the
 // previous group's last byte aligns every byte with its predecessor, so

@@ -189,8 +189,8 @@ func TestZeroElimTruncatedInput(t *testing.T) {
 
 func TestBitmapLen(t *testing.T) {
 	for _, c := range []struct{ n, want int }{{0, 0}, {1, 1}, {8, 1}, {9, 2}, {16384, 2048}} {
-		if got := bitmapLen(c.n); got != c.want {
-			t.Errorf("bitmapLen(%d) = %d, want %d", c.n, got, c.want)
+		if got := BitmapLen(c.n); got != c.want {
+			t.Errorf("BitmapLen(%d) = %d, want %d", c.n, got, c.want)
 		}
 	}
 }

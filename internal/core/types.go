@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"pfpl/internal/bits"
 	"pfpl/internal/portmath"
 )
 
@@ -87,12 +88,23 @@ func (p *Params) exp2(x float64) float64 {
 	return portmath.Exp2(x)
 }
 
-// Bit-cast aliases, kept local so hot loops avoid repeated package selector
-// noise.
-func f32bits(v float32) uint32     { return math.Float32bits(v) }
-func f32frombits(b uint32) float32 { return math.Float32frombits(b) }
-func f64bits(v float64) uint64     { return math.Float64bits(v) }
-func f64frombits(b uint64) float64 { return math.Float64frombits(b) }
+// wordOf returns the IEEE bit pattern of v as a word of v's width. The
+// width test ^W(0)>>32 != 0 (as two shifts, which vet accepts at 32 bits)
+// folds to a constant in each instantiation.
+func wordOf[T Float, W bits.Word](v T) W {
+	if ^W(0)>>31>>1 != 0 {
+		return W(math.Float64bits(float64(v)))
+	}
+	return W(math.Float32bits(float32(v)))
+}
+
+// valueOf returns the value whose IEEE bit pattern is w.
+func valueOf[T Float, W bits.Word](w W) T {
+	if ^W(0)>>31>>1 != 0 {
+		return T(math.Float64frombits(uint64(w)))
+	}
+	return T(math.Float32frombits(uint32(w)))
+}
 
 // Params carries the quantizer configuration shared by the encoder and the
 // decoder. The decoder reconstructs it from the container header, so every
@@ -193,32 +205,40 @@ func (p *Params) deriveAbs(abs float64) {
 // quantization (eps, or eps*range for NOA).
 func (p *Params) AbsBound() float64 { return p.absBound }
 
-// Float32 bin-encoding constants (paper §III.B). ABS/NOA bins live in the
-// 2^23-wide denormal range in magnitude-sign format; REL bins live in the
-// negative-NaN range with all emitted words XORed by the NaN prefix.
-const (
-	f32ExpMask  = 0x7F800000
-	f32SignBit  = 0x80000000
-	f32MantMask = 0x007FFFFF
-	f32MaxBin   = 1<<23 - 1 // ABS/NOA: |bin| must fit in 23 bits
-	f32RelXor   = 0xFF800000
-	f32RelBin   = 1<<20 - 1 // REL: |bin| limit so the payload fits 23 bits
-	f32PosZero  = 1         // REL reserved payload for +0
-	f32NegZero  = 2         // REL reserved payload for -0
-	f32RelBase  = 3         // REL payloads >= base encode quantized bins
-)
+// layout is the bin-encoding layout of word W, which holds the IEEE bits
+// of a value of the same width (paper §III.B): the sign bit, the exponent
+// field and the mantissa field, 23 or 52 bits wide. ABS/NOA bins live in
+// the denormal range in magnitude-sign format; REL bins live in the
+// negative-NaN range, with every emitted word XORed by the NaN prefix.
+// Functions take it from layoutOf and hand it to their helpers as a value,
+// so wherever the helpers inline the masks fold to constants.
+type layout[W bits.Word] struct{ sign, exp, mant W }
 
-// Float64 counterparts: a 2^52-wide denormal range and NaN payload.
+// layoutOf returns the layout of W.
+func layoutOf[W bits.Word]() layout[W] {
+	mant := ^W(0) >> 9 // below the sign and an 8-bit exponent
+	if ^W(0)>>31>>1 != 0 {
+		mant = ^W(0) >> 12 // below the sign and an 11-bit exponent
+	}
+	sign := ^(^W(0) >> 1)
+	return layout[W]{sign: sign, exp: ^sign &^ mant, mant: mant}
+}
+
+// relXor is the negative-NaN prefix: the sign and exponent bits.
+func (l layout[W]) relXor() W { return ^l.mant }
+
+// maxBin is the ABS/NOA |bin| limit: a bin fills the mantissa.
+func (l layout[W]) maxBin() float64 { return float64(l.mant) }
+
+// relBin is the REL |bin| limit that keeps relPayload within the mantissa.
+func (l layout[W]) relBin() float64 { return float64(l.mant >> 3) }
+
+// REL reserved payloads, the same at both widths: +0 and -0 take payloads
+// 1 and 2, and payloads from relBase up encode quantized bins.
 const (
-	f64ExpMask  = 0x7FF0000000000000
-	f64SignBit  = 0x8000000000000000
-	f64MantMask = 0x000FFFFFFFFFFFFF
-	f64MaxBin   = 1<<52 - 1
-	f64RelXor   = 0xFFF0000000000000
-	f64RelBin   = 1<<49 - 1
-	f64PosZero  = 1
-	f64NegZero  = 2
-	f64RelBase  = 3
+	relPosZero = 1
+	relNegZero = 2
+	relBase    = 3
 )
 
 // relBin rounds the log-space position b to its bin, or reports that the
@@ -249,12 +269,12 @@ func relPayload(bin int64, negative bool) uint64 {
 	if negative {
 		t |= 1
 	}
-	return f64RelBase + t
+	return relBase + t
 }
 
 // relUnpayload inverts relPayload.
 func relUnpayload(p uint64) (bin int64, negative bool) {
-	t := p - f64RelBase
+	t := p - relBase
 	negative = t&1 != 0
 	q := t >> 1
 	bin = int64(q>>1) ^ -int64(q&1)

@@ -86,10 +86,10 @@ func relAblationRatio(src []float32, useLibm bool) float64 {
 	}
 	p.UseLibm = useLibm
 	total := 0
-	var s core.Scratch32
+	var s core.Scratch[float32, uint32]
 	for lo := 0; lo < len(src); lo += core.ChunkWords32 {
 		hi := min(lo+core.ChunkWords32, len(src))
-		payload, _ := core.EncodeChunk32(&p, src[lo:hi], &s)
+		payload, _ := core.EncodeChunk(&p, src[lo:hi], &s)
 		total += len(payload)
 	}
 	if total == 0 {
@@ -116,7 +116,7 @@ func ablationRatio(src []float32, variant string) float64 {
 		hi := min(lo+core.ChunkWords32, len(src))
 		n := hi - lo
 		for i := 0; i < n; i++ {
-			words[i] = p.EncodeValue32(src[lo+i])
+			words[i] = core.EncodeValue[float32, uint32](&p, src[lo+i])
 		}
 		w := words[:n]
 		switch variant {
@@ -128,9 +128,9 @@ func ablationRatio(src []float32, variant string) float64 {
 		case "no-negabinary":
 			deltaOnly(w)
 		default:
-			core.DeltaNegaForward32(w)
+			core.DeltaNegaForward(w)
 		}
-		padded := core.PaddedWords32(n)
+		padded := core.PaddedWords[uint32](n)
 		for i := n; i < padded; i++ {
 			words[i] = 0
 		}

@@ -3,6 +3,7 @@ package eval
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"pfpl/internal/core"
@@ -10,6 +11,21 @@ import (
 )
 
 func testCfg() Config { return capFiles(Config{Scale: sdrbench.ScaleSmall, Reps: 1}) }
+
+// scatter returns RunScatter(mode, false, testCfg()), computed once per
+// mode per test binary: the guarantee audit, the scatter-structure tests
+// and Fig16 assert on the same sweeps. Callers must treat the result as
+// read-only.
+func scatter(mode core.Mode) []Measurement {
+	s := &scatterRuns[mode]
+	s.once.Do(func() { s.ms = RunScatter(mode, false, testCfg()) })
+	return s.ms
+}
+
+var scatterRuns [core.NOA + 1]struct {
+	once sync.Once
+	ms   []Measurement
+}
 
 // capFiles truncates each suite to one file when the race detector is on,
 // keeping the full eval sweep inside the default go test timeout (see
@@ -55,10 +71,8 @@ func TestRegistryShape(t *testing.T) {
 func TestPFPLGuaranteeAuditZeroViolations(t *testing.T) {
 	// The central Table III property: the three PFPL executors never
 	// violate any bound type on any suite.
-	cfg := testCfg()
-	cfg.Only = []string{"PFPL-Serial", "PFPL-OMP", "PFPL-CUDA"}
 	for _, mode := range []core.Mode{core.ABS, core.REL, core.NOA} {
-		for _, m := range RunScatter(mode, false, cfg) {
+		for _, m := range scatter(mode) {
 			if !strings.HasPrefix(m.Compressor, "PFPL") {
 				continue
 			}
@@ -70,7 +84,7 @@ func TestPFPLGuaranteeAuditZeroViolations(t *testing.T) {
 }
 
 func TestScatterStructureABS(t *testing.T) {
-	ms := RunScatter(core.ABS, false, testCfg())
+	ms := scatter(core.ABS)
 	if len(ms) == 0 {
 		t.Fatal("no measurements")
 	}
@@ -116,7 +130,7 @@ func TestScatterStructureABS(t *testing.T) {
 }
 
 func TestScatterRELOnlyThreeCompressors(t *testing.T) {
-	ms := RunScatter(core.REL, false, testCfg())
+	ms := scatter(core.REL)
 	byComp := map[string]bool{}
 	for _, m := range ms {
 		byComp[m.Compressor] = true
@@ -135,7 +149,7 @@ func TestScatterRELOnlyThreeCompressors(t *testing.T) {
 
 func TestPaperShapeProperties(t *testing.T) {
 	// The qualitative results the figures must reproduce.
-	aggs := AggregateScatter(RunScatter(core.ABS, false, testCfg()))
+	aggs := AggregateScatter(scatter(core.ABS))
 	get := func(name string, bound float64) *Aggregate {
 		for i := range aggs {
 			if aggs[i].Compressor == name && aggs[i].Bound == bound {
@@ -199,7 +213,7 @@ func TestTables(t *testing.T) {
 }
 
 func TestFig16HasPSNR(t *testing.T) {
-	reps := Fig16(testCfg())
+	reps := fig16(scatter)
 	if len(reps) != 3 {
 		t.Fatalf("got %d PSNR reports, want 3", len(reps))
 	}

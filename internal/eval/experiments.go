@@ -232,13 +232,19 @@ func Fig14(cfg Config) []*Report {
 // Fig16 reproduces the PSNR-vs-ratio charts for the three bound types on
 // single-precision data.
 func Fig16(cfg Config) []*Report {
+	return fig16(func(mode core.Mode) []Measurement { return RunScatter(mode, false, cfg) })
+}
+
+// fig16 builds Fig16's reports from the single-precision sweep of each
+// mode.
+func fig16(scatter func(core.Mode) []Measurement) []*Report {
 	var out []*Report
 	for _, mc := range []struct {
 		id   string
 		mode core.Mode
 	}{{"Fig 16a", core.ABS}, {"Fig 16b", core.REL}, {"Fig 16c", core.NOA}} {
 		r := &Report{ID: mc.id, Title: "Compression ratio vs PSNR, " + mc.mode.String() + ", single precision"}
-		aggs := AggregateScatter(RunScatter(mc.mode, false, cfg))
+		aggs := AggregateScatter(scatter(mc.mode))
 		r.CSV = append(r.CSV, []string{"compressor", "bound", "ratio", "psnr_db"})
 		rows := [][]string{}
 		for _, a := range aggs {

@@ -32,16 +32,16 @@ type chunkKernel[T core.Float] interface {
 	decode(b *Block, p *core.Params, payload []byte, raw bool, dst []T, unit int32) error
 }
 
-// kernel builds the shared memory of SM sm with T's precision bound once,
-// and returns it with the SM's trace track.
+// kernel builds the shared memory of SM sm with T paired once with the
+// word of its width, and returns it with the SM's trace track.
 func (e Exec[T]) kernel(rec *obs.Recorder, sm int) (chunkKernel[T], int32) {
 	threads := min(threadsPerBlock, e.Model.MaxThreadsPerBlock)
 	track := smTrack(rec, sm)
 	var k any
 	if core.IsPrec64[T]() {
-		k = newShared(&prec64, threads, rec, track)
+		k = newShared[float64, uint64](threads, rec, track)
 	} else {
-		k = newShared(&prec32, threads, rec, track)
+		k = newShared[float32, uint32](threads, rec, track)
 	}
 	return k.(chunkKernel[T]), track
 }

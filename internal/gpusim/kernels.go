@@ -1,8 +1,7 @@
 package gpusim
 
 import (
-	"encoding/binary"
-
+	"pfpl/internal/bits"
 	"pfpl/internal/core"
 	"pfpl/internal/obs"
 )
@@ -27,82 +26,37 @@ func stripe(total, threads, t int) (lo, hi int) {
 	return lo, hi
 }
 
-// word is a lane register: uint32 for single precision, uint64 for double.
-// The word size of every stage except the byte-granular final one follows
-// the precision (§III.D), so those stages are written once over word.
-type word interface{ uint32 | uint64 }
+// The kernel phases that touch value bits — quantize, dequantize and the
+// little-endian word↔byte serialisation — each run thread t's share
+// (indices t, t+step, …) of one barrier-delimited phase. They are generic
+// over the value type T and the word W of its width; Exec.kernel pairs the
+// two once per simulated SM, so no phase branches on precision. Every
+// thread quantizes value by value through core's per-value quantizer.
 
-// toNegabinary and fromNegabinary are bits.ToNegabinary32/64 and their
-// inverses for either word; ^W(0)/3<<1 is the 1010…10 digit mask.
-func toNegabinary[W word](x W) W {
-	m := ^W(0) / 3 << 1
-	return (x + m) ^ m
+func quantize[T core.Float, W bits.Word](p *core.Params, src []T, dst []W, t, step int) {
+	for i := t; i < len(src); i += step {
+		dst[i] = core.EncodeValue[T, W](p, src[i])
+	}
 }
 
-func fromNegabinary[W word](x W) W {
-	m := ^W(0) / 3 << 1
-	return (x ^ m) - m
+func dequantize[T core.Float, W bits.Word](p *core.Params, src []W, dst []T, t, step int) {
+	for i := t; i < len(dst); i += step {
+		dst[i] = core.DecodeValue[T](p, src[i])
+	}
 }
 
-// precision holds the only kernel phases that touch value bits: quantize,
-// dequantize and the little-endian word↔byte serialisation. Each runs
-// thread t's share (indices t, t+step, …) of one barrier-delimited phase.
-// A simulated SM binds one precision when it starts, as core.NewKernels
-// does for the CPU codec, so no phase branches on precision.
-type precision[T core.Float, W word] struct {
-	bits       int // word width, which is also the shuffle group in words
-	quantize   func(p *core.Params, src []T, dst []W, t, step int)
-	dequantize func(p *core.Params, src []W, dst []T, t, step int)
-	store      func(src []W, dst []byte, t, step int)
-	load       func(src []byte, dst []W, t, step int)
+func store[W bits.Word](src []W, dst []byte, t, step int) {
+	size := bits.Width[W]() / 8
+	for i := t; i < len(src); i += step {
+		bits.PutLE(dst[i*size:], src[i])
+	}
 }
 
-var prec32 = precision[float32, uint32]{
-	bits: 32,
-	quantize: func(p *core.Params, src []float32, dst []uint32, t, step int) {
-		for i := t; i < len(src); i += step {
-			dst[i] = p.EncodeValue32(src[i])
-		}
-	},
-	dequantize: func(p *core.Params, src []uint32, dst []float32, t, step int) {
-		for i := t; i < len(dst); i += step {
-			dst[i] = p.DecodeValue32(src[i])
-		}
-	},
-	store: func(src []uint32, dst []byte, t, step int) {
-		for i := t; i < len(src); i += step {
-			binary.LittleEndian.PutUint32(dst[i*4:], src[i])
-		}
-	},
-	load: func(src []byte, dst []uint32, t, step int) {
-		for i := t; i < len(dst); i += step {
-			dst[i] = binary.LittleEndian.Uint32(src[i*4:])
-		}
-	},
-}
-
-var prec64 = precision[float64, uint64]{
-	bits: 64,
-	quantize: func(p *core.Params, src []float64, dst []uint64, t, step int) {
-		for i := t; i < len(src); i += step {
-			dst[i] = p.EncodeValue64(src[i])
-		}
-	},
-	dequantize: func(p *core.Params, src []uint64, dst []float64, t, step int) {
-		for i := t; i < len(dst); i += step {
-			dst[i] = p.DecodeValue64(src[i])
-		}
-	},
-	store: func(src []uint64, dst []byte, t, step int) {
-		for i := t; i < len(src); i += step {
-			binary.LittleEndian.PutUint64(dst[i*8:], src[i])
-		}
-	},
-	load: func(src []byte, dst []uint64, t, step int) {
-		for i := t; i < len(dst); i += step {
-			dst[i] = binary.LittleEndian.Uint64(src[i*8:])
-		}
-	},
+func load[W bits.Word](src []byte, dst []W, t, step int) {
+	size := bits.Width[W]() / 8
+	for i := t; i < len(dst); i += step {
+		dst[i] = bits.LE[W](src[i*size:])
+	}
 }
 
 // rawParams quantizes every value to its unmodified IEEE bit pattern, so
@@ -123,9 +77,8 @@ type byteMem struct {
 // intermediate data in shared memory (§III.E); each simulated SM (worker)
 // owns one instance. The word buffers are sized at construction because an
 // array length cannot depend on W.
-type shared[T core.Float, W word] struct {
+type shared[T core.Float, W bits.Word] struct {
 	byteMem
-	prec  *precision[T, W]
 	quant []W
 	resid []W
 
@@ -135,9 +88,9 @@ type shared[T core.Float, W word] struct {
 	track int32
 }
 
-func newShared[T core.Float, W word](prec *precision[T, W], threads int, rec *obs.Recorder, track int32) *shared[T, W] {
-	words := core.ChunkBytes * 8 / prec.bits
-	s := &shared[T, W]{prec: prec, quant: make([]W, words), resid: make([]W, words), rec: rec, track: track}
+func newShared[T core.Float, W bits.Word](threads int, rec *obs.Recorder, track int32) *shared[T, W] {
+	words := core.ChunkBytes * 8 / bits.Width[W]()
+	s := &shared[T, W]{quant: make([]W, words), resid: make([]W, words), rec: rec, track: track}
 	s.counts = make([]int, threads)
 	n := core.ChunkBytes
 	for k := range s.bm {
@@ -164,14 +117,14 @@ func (m *byteMem) levels(p int) (lv [core.BitmapLevels + 1][]byte) {
 // warp-granularity bit shuffle, byte serialization, bitmap construction,
 // and scan-based compaction.
 func (s *shared[T, W]) encode(b *Block, p *core.Params, src []T, unit int32) ([]byte, bool) {
-	rec, v := s.rec, s.prec
+	rec := s.rec
 	tm := rec.Now()
 	n, nt := len(src), b.Threads
-	padded := (n + v.bits - 1) &^ (v.bits - 1)
-	size := n * v.bits / 8
+	padded := core.PaddedWords[W](n)
+	size := n * bits.Width[W]() / 8
 
 	// Phase 1: quantization — embarrassingly parallel (§III.E).
-	b.ForEach(func(t int) { v.quantize(p, src, s.quant, t, nt) })
+	b.ForEach(func(t int) { quantize(p, src, s.quant, t, nt) })
 	tm = rec.StageSpan(obs.StageQuantize, s.track, unit, tm)
 	// Phase 2: difference coding + negabinary. Each thread reads two
 	// neighboring quantized words; the separate output buffer removes the
@@ -182,9 +135,9 @@ func (s *shared[T, W]) encode(b *Block, p *core.Params, src []T, unit int32) ([]
 			case i >= n:
 				s.resid[i] = 0
 			case i == 0:
-				s.resid[i] = toNegabinary(s.quant[0])
+				s.resid[i] = bits.ToNegabinary(s.quant[0])
 			default:
-				s.resid[i] = toNegabinary(s.quant[i] - s.quant[i-1])
+				s.resid[i] = bits.ToNegabinary(s.quant[i] - s.quant[i-1])
 			}
 		}
 	})
@@ -193,15 +146,15 @@ func (s *shared[T, W]) encode(b *Block, p *core.Params, src []T, unit int32) ([]
 	s.shuffle(b, padded)
 	tm = rec.StageSpan(obs.StageShuffle, s.track, unit, tm)
 	// Phase 4: byte serialization of the shuffled words.
-	b.ForEach(func(t int) { v.store(s.resid[:padded], s.data[:], t, nt) })
+	b.ForEach(func(t int) { store(s.resid[:padded], s.data[:], t, nt) })
 	// Phases 5–6: zero-byte elimination.
-	pos := s.eliminate(b, padded*v.bits/8)
+	pos := s.eliminate(b, padded*bits.Width[W]()/8)
 
 	if pos >= size {
 		// Incompressible chunk: emit the original values (raw fallback).
 		b.ForEach(func(t int) {
-			v.quantize(&rawParams, src, s.quant, t, nt)
-			v.store(s.quant[:n], s.out[:], t, nt)
+			quantize(&rawParams, src, s.quant, t, nt)
+			store(s.quant[:n], s.out[:], t, nt)
 		})
 		rec.StageSpanOutcome(obs.StageEncode, s.track, unit, tm, obs.OutcomeRaw, int64(size), int64(size))
 		return s.out[:size], true
@@ -212,37 +165,38 @@ func (s *shared[T, W]) encode(b *Block, p *core.Params, src []T, unit int32) ([]
 
 // decode runs the decompression kernel for one chunk.
 func (s *shared[T, W]) decode(b *Block, p *core.Params, payload []byte, raw bool, dst []T, unit int32) error {
-	rec, v := s.rec, s.prec
+	rec := s.rec
 	tm := rec.Now()
 	n, nt := len(dst), b.Threads
+	size := bits.Width[W]() / 8
 	if raw {
-		if len(payload) != n*v.bits/8 {
+		if len(payload) != n*size {
 			return core.ErrCorrupt
 		}
 		b.ForEach(func(t int) {
-			v.load(payload, s.quant[:n], t, nt)
-			v.dequantize(&rawParams, s.quant, dst, t, nt)
+			load(payload, s.quant[:n], t, nt)
+			dequantize(&rawParams, s.quant, dst, t, nt)
 		})
 	} else {
-		padded := (n + v.bits - 1) &^ (v.bits - 1)
-		if err := s.expand(b, payload, padded*v.bits/8); err != nil {
+		padded := core.PaddedWords[W](n)
+		if err := s.expand(b, payload, padded*size); err != nil {
 			return err
 		}
 		// Inverse bit shuffle (warp granularity).
-		b.ForEach(func(t int) { v.load(s.data[:], s.resid[:padded], t, nt) })
+		b.ForEach(func(t int) { load(s.data[:], s.resid[:padded], t, nt) })
 		s.shuffle(b, padded)
 		// Inverse difference coding: negabinary back to residuals, then
 		// the block-wide prefix sum the paper notes the decoder needs
 		// (§III.E).
 		b.ForEach(func(t int) {
 			for i := t; i < n; i += nt {
-				s.quant[i] = fromNegabinary(s.resid[i])
+				s.quant[i] = bits.FromNegabinary(s.resid[i])
 			}
 		})
 		BlockInclusiveScan(s.quant[:n])
-		b.ForEach(func(t int) { v.dequantize(p, s.quant, dst, t, nt) })
+		b.ForEach(func(t int) { dequantize(p, s.quant, dst, t, nt) })
 	}
-	rec.StageSpanOutcome(obs.StageDecode, s.track, unit, tm, outcome(raw), int64(len(payload)), int64(n)*int64(v.bits/8))
+	rec.StageSpanOutcome(obs.StageDecode, s.track, unit, tm, outcome(raw), int64(len(payload)), int64(n)*int64(size))
 	return nil
 }
 
@@ -251,7 +205,7 @@ func (s *shared[T, W]) decode(b *Block, p *core.Params, payload []byte, raw bool
 // exchanges; a double-precision group spans a warp pair's 64 lanes (the
 // paper's "chunk of 32 or 64 values" per warp, §III.E).
 func (s *shared[T, W]) shuffle(b *Block, padded int) {
-	g := s.prec.bits
+	g := bits.Width[W]()
 	warps := (b.Threads + 31) / 32
 	b.ForEachWarp(func(w int) {
 		for i := w * g; i < padded; i += warps * g {

@@ -1,5 +1,7 @@
 package gpusim
 
+import "pfpl/internal/bits"
+
 // Warp-shuffle primitives. The CUDA implementation of PFPL's bit shuffle
 // exchanges data between the threads of a warp with shuffle instructions
 // instead of shared memory (§III.E: "They employ log2(wordsize) shuffling
@@ -12,7 +14,7 @@ package gpusim
 // warpShuffleXor models __shfl_xor_sync: lane l of out receives the value
 // held by lane l^mask of lanes. All lanes read the pre-exchange snapshot,
 // as the hardware instruction does.
-func warpShuffleXor[W word](lanes, out []W, mask int) {
+func warpShuffleXor[W bits.Word](lanes, out []W, mask int) {
 	for l := range out {
 		out[l] = lanes[l^mask]
 	}
@@ -23,7 +25,7 @@ func warpShuffleXor[W word](lanes, out []W, mask int) {
 // the 64 lanes of a cooperating warp pair of uint64 (§III.E). It runs
 // log2(len(lanes)) shuffle-and-merge butterfly steps, and the result
 // matches bits.Transpose32/64: bit j of lane i becomes bit i of lane j.
-func TransposeWarpShuffle[W word](lanes []W) {
+func TransposeWarpShuffle[W bits.Word](lanes []W) {
 	var buf [64]W
 	partner := buf[:len(lanes)]
 	for s := len(lanes) / 2; s > 0; s >>= 1 {

@@ -64,12 +64,12 @@ func Components() []Component {
 			Name: "negabinary",
 			Forward: func(w []uint32) {
 				for i := range w {
-					w[i] = bits.ToNegabinary32(w[i])
+					w[i] = bits.ToNegabinary(w[i])
 				}
 			},
 			Inverse: func(w []uint32) {
 				for i := range w {
-					w[i] = bits.FromNegabinary32(w[i])
+					w[i] = bits.FromNegabinary(w[i])
 				}
 			},
 		},
@@ -275,7 +275,7 @@ func search(sample []float32, bound float64, maxStages int, gpuFriendly bool) ([
 		hi := min(lo+core.ChunkWords32, len(sample))
 		words := make([]uint32, hi-lo)
 		for i := range words {
-			words[i] = params.EncodeValue32(sample[lo+i])
+			words[i] = core.EncodeValue[float32, uint32](&params, sample[lo+i])
 		}
 		chunks = append(chunks, words)
 	}

@@ -12,7 +12,7 @@ func DecompressRange32(buf []byte, offset, count int) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.DecompressRange32(buf, offset, count)
+	return core.DecompressRange[float32](buf, offset, count)
 }
 
 // DecompressRange64 is the double-precision counterpart of
@@ -22,5 +22,5 @@ func DecompressRange64(buf []byte, offset, count int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.DecompressRange64(buf, offset, count)
+	return core.DecompressRange[float64](buf, offset, count)
 }
