@@ -17,16 +17,21 @@ func elemSize[T float32 | float64]() int {
 	return 4
 }
 
+// The loops below reslice b to exactly the bytes of v once and then walk
+// both slices together, which lets the compiler drop every per-element
+// bounds check (go build -gcflags=-d=ssa/check_bce/debug=1 reports none
+// inside them).
+
 // getLE decodes len(vals) values from b.
 func getLE[T float32 | float64](vals []T, b []byte) {
 	switch v := any(vals).(type) {
 	case []float32:
-		for i := range v {
-			v[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
+		for b = b[:4*len(v)]; len(v) > 0 && len(b) >= 4; v, b = v[1:], b[4:] {
+			v[0] = math.Float32frombits(binary.LittleEndian.Uint32(b))
 		}
 	case []float64:
-		for i := range v {
-			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+		for b = b[:8*len(v)]; len(v) > 0 && len(b) >= 8; v, b = v[1:], b[8:] {
+			v[0] = math.Float64frombits(binary.LittleEndian.Uint64(b))
 		}
 	}
 }
@@ -35,12 +40,12 @@ func getLE[T float32 | float64](vals []T, b []byte) {
 func putLE[T float32 | float64](b []byte, vals []T) {
 	switch v := any(vals).(type) {
 	case []float32:
-		for i, x := range v {
-			binary.LittleEndian.PutUint32(b[i*4:], math.Float32bits(x))
+		for b = b[:4*len(v)]; len(v) > 0 && len(b) >= 4; v, b = v[1:], b[4:] {
+			binary.LittleEndian.PutUint32(b, math.Float32bits(v[0]))
 		}
 	case []float64:
-		for i, x := range v {
-			binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(x))
+		for b = b[:8*len(v)]; len(v) > 0 && len(b) >= 8; v, b = v[1:], b[8:] {
+			binary.LittleEndian.PutUint64(b, math.Float64bits(v[0]))
 		}
 	}
 }

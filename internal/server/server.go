@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"pfpl"
+	"pfpl/internal/bufpool"
 	"pfpl/internal/obs"
 	"pfpl/internal/server/metrics"
 )
@@ -550,6 +551,15 @@ func (s *Server) finishError(w http.ResponseWriter, x reqExit, streamed bool, er
 // of elements).
 var errBadBody = errors.New("server: request body is not a whole number of values")
 
+// Per-request scratch is taken from process-wide pools and returned when the
+// handler exits, so a warm server does not allocate and zero a frame of raw
+// bytes and values for every request: rawScratch holds the raw
+// little-endian bodies, valueScratch the decoded values of each precision.
+var (
+	rawScratch   bufpool.Pool[byte]
+	valueScratch bufpool.Floats
+)
+
 // compressBody streams a raw little-endian body of T values through the
 // stream writer newWriter makes on dst, one frame at a time.
 func compressBody[T float32 | float64, W interface {
@@ -563,8 +573,13 @@ func compressBody[T float32 | float64, W interface {
 	}
 	size := elemSize[T]()
 	in := &ctxReader{ctx: ctx, r: body}
-	buf := make([]byte, sopts.FrameValues*size)
-	vals := make([]T, sopts.FrameValues)
+	bb := rawScratch.Get(sopts.FrameValues * size)
+	defer rawScratch.Put(bb)
+	vp := bufpool.Of[T](&valueScratch)
+	vb := vp.Get(sopts.FrameValues)
+	defer vp.Put(vb)
+	buf := (*bb)[:sopts.FrameValues*size]
+	vals := (*vb)[:sopts.FrameValues]
 	var total int64
 	for {
 		n, rerr := io.ReadFull(in, buf)
@@ -673,8 +688,13 @@ const (
 // raw little-endian bytes.
 func decompressBody[T float32 | float64](rd interface{ Read([]T) (int, error) }, dst io.Writer, frame int) (int64, error) {
 	size := elemSize[T]()
-	vals := make([]T, frame)
-	out := make([]byte, len(vals)*size)
+	vp := bufpool.Of[T](&valueScratch)
+	vb := vp.Get(frame)
+	defer vp.Put(vb)
+	ob := rawScratch.Get(frame * size)
+	defer rawScratch.Put(ob)
+	vals := (*vb)[:frame]
+	out := (*ob)[:frame*size]
 	var total int64
 	for {
 		n, err := rd.Read(vals)

@@ -291,7 +291,7 @@ func readFrame(r io.Reader, buf []byte, idx int, off int64) ([]byte, error) {
 	}
 	if int64(cap(buf)) >= n {
 		// A recycled buffer already this large was proven out by an earlier
-		// frame; fill it directly.
+		// frame, of this stream or another; fill it directly.
 		buf = buf[:n]
 		if _, err := io.ReadFull(r, buf); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
@@ -319,7 +319,8 @@ func readFrame(r io.Reader, buf []byte, idx int, off int64) ([]byte, error) {
 // Reader32 incrementally decompresses a stream produced by Writer32. While
 // the caller drains one frame, the next is already being read and
 // decompressed in the background; frame and value buffers are recycled
-// through a sync.Pool. Methods must not be called concurrently.
+// through process-wide pools, so a later stream reuses them too. Methods
+// must not be called concurrently.
 type Reader32 struct {
 	s streamReader[float32]
 }

@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"sync"
 
+	"pfpl/internal/bufpool"
 	"pfpl/internal/core"
 	"pfpl/internal/cpucomp"
 	"pfpl/internal/obs"
@@ -31,10 +32,23 @@ func streamWorkers(requested int) int {
 	return cpucomp.Workers(requested)
 }
 
+// Frame buffers are recycled process-wide, not per stream: a writer's frame
+// value buffer goes back to frameValues once the frame is compressed, and a
+// reader's value and frame byte buffers once the caller has drained them or
+// the stream has ended. The next stream, or the next request of a server
+// that opens one stream per request, takes them back instead of allocating.
+var (
+	frameValues bufpool.Floats
+	frameBytes  bufpool.Pool[byte]
+)
+
+// valuePool returns the process-wide frame value pool for T.
+func valuePool[T core.Float]() *bufpool.Pool[T] { return bufpool.Of[T](&frameValues) }
+
 // frameJob is one frame handed to the worker pool, with its emission-order
 // token pair from the chain.
-type frameJob[T any] struct {
-	vals []T
+type frameJob[T core.Float] struct {
+	vals *[]T  // from valuePool, returned once compressed
 	idx  int32 // frame index, the span unit label
 	turn <-chan struct{}
 	done chan struct{}
@@ -42,19 +56,15 @@ type frameJob[T any] struct {
 
 // framePipe is the bounded, order-preserving compression pipeline behind
 // Writer32/64.
-type framePipe[T any] struct {
-	dst   io.Writer
-	enc   func([]T) ([]byte, error)
-	ctx   context.Context
-	rec   *obs.Recorder
-	elem  int64 // bytes per value, for frame byte accounting
-	jobs  chan frameJob[T]
-	wg    sync.WaitGroup
-	chain *cpucomp.Chain
-	// pool recycles frame value buffers: a worker returns a frame's buffer
-	// after compressing it, and the writer's next fill takes it back.
-	pool   sync.Pool
-	limit  int
+type framePipe[T core.Float] struct {
+	dst    io.Writer
+	enc    func([]T) ([]byte, error)
+	ctx    context.Context
+	rec    *obs.Recorder
+	elem   int64 // bytes per value, for frame byte accounting
+	jobs   chan frameJob[T]
+	wg     sync.WaitGroup
+	chain  *cpucomp.Chain
 	frames int32 // next frame index; touched only by submit's caller
 	// tally enables per-frame chunk-outcome accounting (compressed vs raw
 	// fallback) into the recorder's aggregates. Only set when the caller
@@ -74,7 +84,7 @@ type framePipe[T any] struct {
 	err error
 }
 
-func newFramePipe[T any](dst io.Writer, enc func([]T) ([]byte, error), ctx context.Context, rec *obs.Recorder, elem int64, limit, workers int, index, tally bool) *framePipe[T] {
+func newFramePipe[T core.Float](dst io.Writer, enc func([]T) ([]byte, error), ctx context.Context, rec *obs.Recorder, elem int64, workers int, index, tally bool) *framePipe[T] {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -90,8 +100,7 @@ func newFramePipe[T any](dst io.Writer, enc func([]T) ([]byte, error), ctx conte
 		// The job queue bounds frames in flight: at most `workers` queued
 		// plus `workers` being compressed, so memory stays proportional to
 		// the concurrency, not the stream length.
-		jobs:  make(chan frameJob[T], workers),
-		limit: limit,
+		jobs: make(chan frameJob[T], workers),
 	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -112,15 +121,16 @@ func (p *framePipe[T]) worker(id int) {
 	defer p.wg.Done()
 	track := p.rec.Track("stream-w" + strconv.Itoa(id))
 	for j := range p.jobs {
+		vals := *j.vals
 		var comp []byte
 		var err error
 		t := p.rec.Now()
 		if !p.stalled() { // after a failure or cancel, drain without compressing
-			comp, err = p.enc(j.vals)
+			comp, err = p.enc(vals)
 		}
 		if err == nil && comp != nil {
 			t = p.rec.StageSpanOutcome(obs.StageEncode, track, j.idx, t,
-				obs.OutcomeCompressed, int64(len(j.vals))*p.elem, int64(len(comp))+framePrefix)
+				obs.OutcomeCompressed, int64(len(vals))*p.elem, int64(len(comp))+framePrefix)
 			if p.tally {
 				if chunks, raw, _, terr := ChunkOutcomes(comp); terr == nil {
 					p.rec.ChunksDone(int64(chunks), int64(raw))
@@ -134,7 +144,7 @@ func (p *framePipe[T]) worker(id int) {
 		if p.index && err == nil && comp != nil {
 			rec, err = frameRecordFor(comp)
 		}
-		p.pool.Put(j.vals[:0])
+		valuePool[T]().Put(j.vals)
 		<-j.turn
 		t = p.rec.StageSpan(obs.StageCarryWait, track, j.idx, t)
 		if p.firstErr() == nil {
@@ -195,7 +205,7 @@ func (p *framePipe[T]) writeIndex() error {
 // submit hands one complete frame to the pool, blocking while the pipeline
 // is full. Must be called from the single writer goroutine: submission
 // order defines emission order via the chain.
-func (p *framePipe[T]) submit(vals []T) {
+func (p *framePipe[T]) submit(vals *[]T) {
 	turn, done := p.chain.Link()
 	p.jobs <- frameJob[T]{vals: vals, idx: p.frames, turn: turn, done: done}
 	p.frames++
@@ -222,29 +232,20 @@ func (p *framePipe[T]) fail(err error) {
 	p.mu.Unlock()
 }
 
-// getBuf returns an empty frame buffer with the frame capacity, recycled
-// when the pool has one.
-func (p *framePipe[T]) getBuf() []T {
-	if v := p.pool.Get(); v != nil {
-		return v.([]T)
-	}
-	return make([]T, 0, p.limit)
-}
-
 // streamWriter is the shared implementation of Writer32/64: it slices the
 // caller's values into frames of exactly `limit` values (identical
 // partitioning to the serial writer, so the frame contents never depend on
 // write-call boundaries) and feeds them to the pipe.
-type streamWriter[T any] struct {
+type streamWriter[T core.Float] struct {
 	pipe   *framePipe[T]
-	buf    []T
+	buf    *[]T // frame being filled; nil until the next value arrives
 	limit  int
 	closed bool
 }
 
 func (w *streamWriter[T]) init(dst io.Writer, enc func([]T) ([]byte, error), ctx context.Context, rec *obs.Recorder, elem int64, limit, workers int, index, tally bool) {
 	w.limit = limit
-	w.pipe = newFramePipe(dst, enc, ctx, rec, elem, limit, workers, index, tally)
+	w.pipe = newFramePipe(dst, enc, ctx, rec, elem, workers, index, tally)
 }
 
 func (w *streamWriter[T]) write(vals []T) error {
@@ -262,12 +263,12 @@ func (w *streamWriter[T]) write(vals []T) error {
 	}
 	for len(vals) > 0 {
 		if w.buf == nil {
-			w.buf = w.pipe.getBuf()
+			w.buf = valuePool[T]().Get(w.limit)
 		}
-		take := min(w.limit-len(w.buf), len(vals))
-		w.buf = append(w.buf, vals[:take]...)
+		take := min(w.limit-len(*w.buf), len(vals))
+		*w.buf = append(*w.buf, vals[:take]...)
 		vals = vals[take:]
-		if len(w.buf) == w.limit {
+		if len(*w.buf) == w.limit {
 			w.pipe.submit(w.buf)
 			w.buf = nil
 			if err := w.pipe.firstErr(); err != nil {
@@ -283,7 +284,7 @@ func (w *streamWriter[T]) close() error {
 		return ErrClosed
 	}
 	w.closed = true
-	if len(w.buf) > 0 {
+	if w.buf != nil {
 		w.pipe.submit(w.buf)
 	}
 	w.buf = nil
@@ -304,11 +305,12 @@ func (w *streamWriter[T]) close() error {
 }
 
 // fetched is one decoded frame (or terminal error) delivered by the
-// read-ahead goroutine.
-type fetched[T any] struct {
-	vals []T
-	buf  []byte // frame byte buffer, returned for reuse
-	n    int64  // stream bytes consumed (prefix + body)
+// read-ahead goroutine. It carries the goroutine's two pooled buffers back
+// in either case.
+type fetched[T core.Float] struct {
+	vals *[]T    // decoded values, from valuePool
+	buf  *[]byte // frame byte buffer, from frameBytes
+	n    int64   // stream bytes consumed (prefix + body)
 	err  error
 }
 
@@ -317,18 +319,21 @@ type fetched[T any] struct {
 // launched that reads and decompresses frame N+1 while the caller drains
 // N. The goroutine writes its single result into a buffered channel and
 // exits, so an abandoned reader leaks nothing beyond one parked result.
-type streamReader[T any] struct {
+//
+// Its buffers come from the process-wide pools: a value buffer goes back
+// once the caller has drained it, and the frame byte buffer once the
+// stream ends, when no read-ahead is left to hold it.
+type streamReader[T core.Float] struct {
 	src io.Reader
 	dec func(frame []byte, dst []T) ([]T, error)
 
 	next  chan fetched[T]
-	frame int   // index of the next frame to be received
-	off   int64 // byte offset of the next frame to be received
-	buf   []byte
-	pool  sync.Pool // recycled value buffers
+	frame int     // index of the next frame to be received
+	off   int64   // byte offset of the next frame to be received
+	buf   *[]byte // frame byte buffer, handed to each read-ahead in turn
 
-	pending []T // unread tail of the current frame
-	retired []T // current frame's full buffer, returned to pool when drained
+	pending []T  // unread tail of the current frame
+	retired *[]T // current frame's buffer, returned to the pool when drained
 	err     error
 }
 
@@ -337,41 +342,50 @@ func (r *streamReader[T]) init(src io.Reader, dec func([]byte, []T) ([]T, error)
 	r.dec = dec
 }
 
-// launch starts the read-ahead for the next frame. The goroutine owns
-// r.buf and the popped value buffer until its result is received.
+// launch starts the read-ahead for the next frame. The goroutine owns r.buf
+// and a pooled value buffer until its result is received. The value buffer
+// is taken whatever its size: Decompress decodes into it only when its
+// capacity covers the frame, and otherwise allocates one that does.
 func (r *streamReader[T]) launch() {
 	buf := r.buf
 	r.buf = nil
-	var vals []T
-	if v := r.pool.Get(); v != nil {
-		vals = v.([]T)
-	}
+	vals := valuePool[T]().Get(0)
 	idx, off := r.frame, r.off
 	go func() {
-		frame, err := readFrame(r.src, buf, idx, off)
+		res := fetched[T]{vals: vals, buf: buf}
+		frame, err := readFrame(r.src, *buf, idx, off)
 		if err != nil {
-			r.next <- fetched[T]{err: err}
+			res.err = err
+			r.next <- res
 			return
 		}
-		out, err := r.dec(frame, vals[:0])
+		*buf = frame
+		out, err := r.dec(frame, *vals)
 		if err != nil {
-			r.next <- fetched[T]{err: frameErr(idx, off, err)}
+			res.err = frameErr(idx, off, err)
+			r.next <- res
 			return
 		}
-		r.next <- fetched[T]{vals: out, buf: frame, n: framePrefix + int64(len(frame))}
+		*vals = out
+		res.n = framePrefix + int64(len(frame))
+		r.next <- res
 	}()
 }
 
 // fetch returns the next decoded frame, launching the following frame's
 // read-ahead before returning so decompression overlaps the caller's
-// drain.
+// drain. At the end of the stream, or on an error, nothing is in flight, so
+// the buffers go back to the pools.
 func (r *streamReader[T]) fetch() fetched[T] {
 	if r.next == nil { // first use: prime the pipeline
 		r.next = make(chan fetched[T], 1)
+		r.buf = frameBytes.Get(0)
 		r.launch()
 	}
 	f := <-r.next
 	if f.err != nil {
+		frameBytes.Put(f.buf)
+		valuePool[T]().Put(f.vals)
 		return f
 	}
 	r.frame++
@@ -402,19 +416,17 @@ func (r *streamReader[T]) read(dst []T) (int, error) {
 				}
 				return total, f.err
 			}
-			if len(f.vals) == 0 { // empty frame: recycle and keep going
-				if f.vals != nil {
-					r.pool.Put(f.vals[:0])
-				}
+			if len(*f.vals) == 0 { // empty frame: recycle and keep going
+				valuePool[T]().Put(f.vals)
 				continue
 			}
-			r.pending, r.retired = f.vals, f.vals
+			r.pending, r.retired = *f.vals, f.vals
 		}
 		n := copy(dst[total:], r.pending)
 		r.pending = r.pending[n:]
 		total += n
-		if len(r.pending) == 0 && r.retired != nil {
-			r.pool.Put(r.retired[:0])
+		if len(r.pending) == 0 {
+			valuePool[T]().Put(r.retired)
 			r.pending, r.retired = nil, nil
 		}
 	}
