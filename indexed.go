@@ -285,7 +285,8 @@ func decodeFrameWindow[T core.Float](x *Indexed, f int, off, cnt int64) ([]T, er
 		return nil, err
 	}
 	out := make([]T, cnt)
-	k := core.NewKernels[T](nil, 0)
+	k := core.GetKernels[T](nil, 0)
+	defer k.Release()
 	tmp := make([]T, elemsPerChunk)
 	for c := firstChunk; c <= lastChunk; c++ {
 		lo := int64(c) * int64(elemsPerChunk)

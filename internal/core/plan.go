@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"pfpl/internal/bits"
 	"pfpl/internal/obs"
@@ -19,7 +20,7 @@ import (
 
 // Float is the value type of the codec. The orchestration layers are
 // generic over it alone; the chunk codec below them is generic over T and
-// the word W of T's width (bits.Word), and NewKernels is the one place that
+// the word W of T's width (bits.Word), and newKernels is the one place that
 // pairs float32 with uint32 and float64 with uint64.
 type Float interface{ float32 | float64 }
 
@@ -249,23 +250,81 @@ func FieldOfChunk(starts []int, g int) int {
 type Kernels[T Float] struct {
 	Encode func(p *Params, src []T, unit int32) (payload []byte, raw bool)
 	Decode func(p *Params, payload []byte, raw bool, dst []T, unit int32) error
+
+	bind func(rec *obs.Recorder, track int32)
 }
 
-// NewKernels binds fresh scratch to the kernels for T. A nil rec disables
-// tracing at no cost. It is the one place a value type is paired with the
-// word of its width.
-func NewKernels[T Float](rec *obs.Recorder, track int32) Kernels[T] {
+// kernelStack keeps released kernels and their scratch for reuse, so a
+// dispatch over a few chunks does not allocate and zero tens of kilobytes
+// of scratch per worker. Unlike a sync.Pool it survives garbage collection
+// and serves every P alike: the scratch is sized once, the way a DAQ
+// compressor sizes its buffers, and a warm process stops allocating it. It
+// keeps at most maxFreeKernels, which bounds what an idle process holds at
+// about 4 MB of float32 and 5 MB of float64 scratch; kernels released
+// beyond that are left to the collector.
+type kernelStack struct {
+	mu   sync.Mutex
+	free []any // *Kernels[T] of the stack's precision
+}
+
+const maxFreeKernels = 64
+
+// kernelStacks holds one stack per precision; index 1 is float64.
+var kernelStacks [2]kernelStack
+
+func stackOf[T Float]() *kernelStack {
+	if IsPrec64[T]() {
+		return &kernelStacks[1]
+	}
+	return &kernelStacks[0]
+}
+
+// GetKernels takes released kernels for T (or makes new ones) and binds them
+// to rec's track. A nil rec disables tracing at no cost. Return them with
+// Release once the dispatch is done.
+func GetKernels[T Float](rec *obs.Recorder, track int32) *Kernels[T] {
+	var k *Kernels[T]
+	st := stackOf[T]()
+	st.mu.Lock()
+	if n := len(st.free); n > 0 {
+		k = st.free[n-1].(*Kernels[T])
+		st.free[n-1] = nil
+		st.free = st.free[:n-1]
+	}
+	st.mu.Unlock()
+	if k == nil {
+		k = newKernels[T]()
+	}
+	k.bind(rec, track)
+	return k
+}
+
+// Release unbinds k from its recorder and keeps it for the next GetKernels.
+// k must not be used afterwards.
+func (k *Kernels[T]) Release() {
+	k.bind(nil, 0)
+	st := stackOf[T]()
+	st.mu.Lock()
+	if len(st.free) < maxFreeKernels {
+		st.free = append(st.free, k)
+	}
+	st.mu.Unlock()
+}
+
+// newKernels binds fresh scratch to the kernels for T. It is the one place a
+// value type is paired with the word of its width.
+func newKernels[T Float]() *Kernels[T] {
 	var k any
 	if IsPrec64[T]() {
-		k = bindKernels(&Scratch64{Rec: rec, Track: track})
+		k = bindKernels(&Scratch64{})
 	} else {
-		k = bindKernels(&Scratch32{Rec: rec, Track: track})
+		k = bindKernels(&Scratch32{})
 	}
-	return k.(Kernels[T])
+	return k.(*Kernels[T])
 }
 
-func bindKernels[T Float, W bits.Word](s *Scratch[T, W]) Kernels[T] {
-	return Kernels[T]{
+func bindKernels[T Float, W bits.Word](s *Scratch[T, W]) *Kernels[T] {
+	return &Kernels[T]{
 		Encode: func(p *Params, src []T, unit int32) ([]byte, bool) {
 			s.Unit = unit
 			return EncodeChunk(p, src, s)
@@ -273,6 +332,9 @@ func bindKernels[T Float, W bits.Word](s *Scratch[T, W]) Kernels[T] {
 		Decode: func(p *Params, payload []byte, raw bool, dst []T, unit int32) error {
 			s.Unit = unit
 			return DecodeChunk(p, payload, raw, dst, s)
+		},
+		bind: func(rec *obs.Recorder, track int32) {
+			s.Rec, s.Track = rec, track
 		},
 	}
 }

@@ -91,7 +91,8 @@ func DecompressRange[T Float](buf []byte, offset, count int) ([]T, error) {
 		return nil, ErrCorrupt
 	}
 	out := make([]T, count)
-	k := NewKernels[T](nil, 0)
+	k := GetKernels[T](nil, 0)
+	defer k.Release()
 	tmp := make([]T, words)
 	for c := firstChunk; c <= lastChunk; c++ {
 		lo := c * words

@@ -10,7 +10,8 @@ type Serial[T Float] struct{}
 // Encode emits every planned field chunk by chunk on the calling goroutine.
 func (Serial[T]) Encode(plans []EncodePlan[T], rec *obs.Recorder) [][]byte {
 	track := rec.Track("serial")
-	k := NewKernels[T](rec, track)
+	k := GetKernels[T](rec, track)
+	defer k.Release()
 	comps := make([][]byte, len(plans))
 	for f := range plans {
 		pl := &plans[f]
@@ -32,7 +33,8 @@ func (Serial[T]) Encode(plans []EncodePlan[T], rec *obs.Recorder) [][]byte {
 // Decode decodes every planned field chunk by chunk on the calling
 // goroutine, stopping at the first corrupt chunk.
 func (Serial[T]) Decode(plans []DecodePlan[T], rec *obs.Recorder) error {
-	k := NewKernels[T](rec, rec.Track("serial"))
+	k := GetKernels[T](rec, rec.Track("serial"))
+	defer k.Release()
 	for f := range plans {
 		pl := &plans[f]
 		for c := 0; c < pl.Header.NumChunks; c++ {

@@ -1,12 +1,12 @@
 package cpucomp
 
-// Chain is the blocking analog of Carry for coarse-grained work: it hands
-// out one token per work item, in submission order, so concurrently
+// Chain orders coarse-grained work the way the relay orders chunks: it
+// hands out one token per work item, in submission order, so concurrently
 // produced items can be emitted strictly in that order. The pfpl streaming
 // frame pipeline uses it to keep pipelined frame emission byte-identical
-// to serial emission: a frame takes milliseconds to compress, so blocking
-// on a channel (instead of Carry's Gosched spin, which is right for
-// microsecond chunks) is the appropriate wait.
+// to serial emission. A frame takes milliseconds to compress, so blocking
+// on a channel for its turn costs little, where a chunk's worker would
+// rather hand its chunk on and take the next.
 //
 // Usage: the single submitting goroutine calls Link once per item, in
 // item order, and gives the returned channels to the worker that produces

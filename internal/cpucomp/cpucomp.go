@@ -2,9 +2,11 @@
 // the paper's OpenMP version (§III.E). The input is broken into 16 kB
 // chunks that are dynamically assigned to worker goroutines through an
 // atomic counter (load balancing: not all chunks compress equally fast),
-// and the compressed chunks are concatenated by propagating the cumulative
-// size of all prior chunks through a shared carry array accessed with
-// atomic reads and writes.
+// and the compressed chunks are concatenated in one pass by relaying the
+// cumulative size of all prior chunks along a shared carry array: a worker
+// that finishes a chunk before its predecessor parks the payload in the
+// chunk's worst-case slot and moves on, and whoever emits the predecessor
+// emits it too. No worker ever waits for another chunk.
 //
 // The compressed stream is bit-for-bit identical to the serial encoder's:
 // parallelism affects only who computes each chunk, never its content or
@@ -29,73 +31,27 @@ func Workers(requested int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Carry is the shared carry array: Carry[c] holds the absolute output offset
-// where chunk c's payload starts, or 0 while unknown. Offset 0 is never a
-// valid payload position because the header and chunk table precede it;
-// NewCarry enforces that.
-//
-// Carry is the fine-grained (spin-waiting) half of the ordered-concatenation
-// decomposition this package is built on; Chain is the coarse-grained
-// (blocking) half used by the streaming frame pipeline. Both preserve the
-// invariant that concurrently produced units are emitted strictly in index
-// order, so the output bytes never depend on scheduling.
-type Carry struct {
-	off []int64
-}
-
-// NewCarry creates a carry array for numChunks chunks whose first payload
-// byte is at payloadStart. It panics unless payloadStart > 0, because 0 is
-// the carry's "not yet published" sentinel.
-func NewCarry(numChunks int, payloadStart int) *Carry {
-	if payloadStart <= 0 {
-		panic("cpucomp: carry payload start must be positive (0 marks an unpublished offset)")
-	}
-	ca := &Carry{off: make([]int64, numChunks+1)}
-	atomic.StoreInt64(&ca.off[0], int64(payloadStart))
-	return ca
-}
-
-// Wait spins until chunk c's start offset has been published. Spinning (with
-// Gosched) is right at chunk granularity: a 16 kB chunk encodes in
-// microseconds, so parking the goroutine would cost more than the wait.
-func (ca *Carry) Wait(c int) int64 {
-	for {
-		v := atomic.LoadInt64(&ca.off[c])
-		if v != 0 {
-			return v
-		}
-		runtime.Gosched()
-	}
-}
-
-// Publish records that chunk c ends (and chunk c+1 begins) at offset end.
-func (ca *Carry) Publish(c int, end int64) {
-	atomic.StoreInt64(&ca.off[c+1], end)
-}
-
 // Exec is the parallel CPU executor for element type T on a Pool. It
 // implements core.Executor: one dispatch covers every chunk of every planned
 // field, so a single field and a batch of thousands of small fields run the
 // same loop. Workers pull global chunk indices from one atomic counter,
 // locate the owning field by binary search over the cumulative chunk-start
-// table, and emit through that field's own carry chain. Chunk placement
-// inside each field is therefore the serial encoder's, and the bytes are
-// identical under any pool and any participant count.
+// table, and hand each finished chunk to the relay, which concatenates each
+// field's chunks in chunk order. Chunk placement inside each field is
+// therefore the serial encoder's, and the bytes are identical under any
+// pool and any participant count.
 type Exec[T core.Float] struct{ Pool *Pool }
 
 // Encode compresses every planned field with one dispatch. Each worker
 // records its stage spans on its own track (rec nil disables tracing at no
-// cost).
+// cost); a chunk's emit span covers placing its payload and any emission it
+// relays.
 func (e Exec[T]) Encode(plans []core.EncodePlan[T], rec *obs.Recorder) [][]byte {
 	starts := core.ChunkStarts(len(plans), func(f int) int { return plans[f].Header.NumChunks })
-	outs := make([][]byte, len(plans))
-	carries := make([]*Carry, len(plans))
-	for f := range plans {
-		outs[f] = plans[f].Buffer()
-		carries[f] = NewCarry(plans[f].Header.NumChunks, len(plans[f].Head))
-	}
+	r := newRelay(plans, starts)
 	e.Pool.run(starts[len(plans)], rec, func(q *chunkQueue, track int32) {
-		k := core.NewKernels[T](rec, track)
+		k := core.GetKernels[T](rec, track)
+		defer k.Release()
 		for g, ok := q.take(); ok; g, ok = q.take() {
 			f := core.FieldOfChunk(starts, g)
 			pl := &plans[f]
@@ -103,20 +59,12 @@ func (e Exec[T]) Encode(plans []core.EncodePlan[T], rec *obs.Recorder) [][]byte 
 			//pfpl:ignore intwidth c is a chunk index within one field, below its uint32 chunk table size
 			unit := int32(c)
 			payload, raw := k.Encode(&pl.Params, pl.Chunk(c), unit)
-			core.PutChunkSize(outs[f], c, len(payload), raw)
 			t := rec.Now()
-			start := carries[f].Wait(c)
-			t = rec.StageSpan(obs.StageCarryWait, track, unit, t)
-			copy(outs[f][start:], payload)
-			carries[f].Publish(c, start+int64(len(payload)))
+			r.finish(f, c, g, payload, raw)
 			rec.StageSpan(obs.StageEmit, track, unit, t)
 		}
 	})
-	for f := range plans {
-		//pfpl:ignore intwidth Wait returns a byte offset into the output, bounded by MaxLen
-		outs[f] = outs[f][:carries[f].Wait(plans[f].Header.NumChunks)]
-	}
-	return outs
+	return r.containers()
 }
 
 // Decode decodes every planned field with one dispatch. Chunk starts come
@@ -127,7 +75,8 @@ func (e Exec[T]) Decode(plans []core.DecodePlan[T], rec *obs.Recorder) error {
 	starts := core.ChunkStarts(len(plans), func(f int) int { return plans[f].Header.NumChunks })
 	var firstErr atomic.Value
 	e.Pool.run(starts[len(plans)], rec, func(q *chunkQueue, track int32) {
-		k := core.NewKernels[T](rec, track)
+		k := core.GetKernels[T](rec, track)
+		defer k.Release()
 		for g, ok := q.take(); ok; g, ok = q.take() {
 			f := core.FieldOfChunk(starts, g)
 			pl := &plans[f]

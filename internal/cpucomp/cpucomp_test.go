@@ -148,22 +148,3 @@ func TestEmptyInputParallel(t *testing.T) {
 		t.Errorf("got %d values", len(dec))
 	}
 }
-
-// TestNewCarryRejectsZeroStart pins the carry's sentinel contract: offset 0
-// means "not yet published", so a chain starting at 0 would hang its first
-// waiter.
-func TestNewCarryRejectsZeroStart(t *testing.T) {
-	for _, start := range []int{0, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewCarry(1, %d) did not panic", start)
-				}
-			}()
-			NewCarry(1, start)
-		}()
-	}
-	if got := NewCarry(0, 40).Wait(0); got != 40 {
-		t.Fatalf("empty carry start = %d, want 40", got)
-	}
-}

@@ -37,8 +37,9 @@ const (
 	// fallback decision (§III.D–E).
 	StageEncode
 	// StageCarryWait is time spent waiting for the predecessor chunk's
-	// output offset (the carry array / decoupled look-back) or, for stream
-	// frames, the in-order emission turn.
+	// output offset (the simulated GPU's decoupled look-back) or, for
+	// stream frames, the in-order emission turn. The CPU executor relays
+	// its carry instead of waiting and records none.
 	StageCarryWait
 	// StageEmit is copying or writing the payload into the output stream.
 	StageEmit
